@@ -16,18 +16,17 @@ the stream so the whole module runs in tens of seconds.
 """
 
 import copy
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro import fastpath
 from repro.core import EpsilonBoxArchive, Solution
 
-QUICK = os.environ.get("BENCH_ARCHIVE_QUICK", "0") not in ("0", "", "false")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_archive.json"
+from .conftest import BenchRecorder
+
+_record = BenchRecorder("archive")
+QUICK = _record.quick
 
 #: Acceptance floor from the issue: >= 10x insert throughput at
 #: |A| ~ 1e4 (measured on the mixed stream, M = 5).
@@ -61,22 +60,6 @@ _EPS = {
 
 _CELLS_FULL = [(m, size) for m in (2, 3, 5) for size in (100, 1_000, 10_000)]
 _CELLS_QUICK = [(2, 100), (3, 100), (5, 100), (5, 1_000)]
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_archive.json (partial runs of
-    the module keep the other entries intact)."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[name] = payload
-    data["_meta"] = {"quick": QUICK}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _front_points(rng, n, m, scale=1.0):

@@ -14,10 +14,7 @@ so the whole module runs in a few seconds.
     BENCH_HOTPATHS_QUICK=1 pytest benchmarks/test_bench_hotpaths.py -q
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +24,10 @@ from repro.core.dominance import _nondominated_mask_reference, nondominated_mask
 from repro.indicators import Hypervolume, hypervolume_trajectory
 from repro.problems import DTLZ2, UF11
 
-QUICK = os.environ.get("BENCH_HOTPATHS_QUICK", "0") not in ("0", "", "false")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
+from .conftest import BenchRecorder
+
+_record = BenchRecorder("hotpaths")
+QUICK = _record.quick
 
 #: Acceptance floors from the issue; measured headroom is much larger.
 MIN_BATCH_SPEEDUP = 5.0
@@ -44,22 +43,6 @@ def _best_of(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_hotpaths.json (partial runs of
-    the module keep the other entries intact)."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[name] = payload
-    data["_meta"] = {"quick": QUICK}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _batch_eval_case(problem, n):

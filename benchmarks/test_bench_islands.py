@@ -22,10 +22,7 @@ budgets so the whole module runs in a few seconds.
     BENCH_ISLANDS_QUICK=1 pytest benchmarks/test_bench_islands.py -q
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.models import (
     multi_master_upper_bound,
@@ -41,8 +38,10 @@ from repro.models.fastsim import (
 from repro.models.simmodel import simulate_islands_reference
 from repro.stats.timing import RANGER_TC_SECONDS, ranger_timing, ta_mean_for
 
-QUICK = os.environ.get("BENCH_ISLANDS_QUICK", "0") not in ("0", "", "false")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_islands.json"
+from .conftest import BenchRecorder
+
+_record = BenchRecorder("islands")
+QUICK = _record.quick
 
 #: Acceptance ceiling from the issue: every fastsim multi-master
 #: prediction for P in {1e4, 1e5, 1e6} must finish in under 100 ms.
@@ -66,22 +65,6 @@ _PREDICTION_CELLS = [
 _VALIDATION_CELLS = [
     (m, topo) for m in (2, 4, 8) for topo in ("ring", "full", "hier")
 ]
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_islands.json (partial runs of
-    the module keep the other entries intact)."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[name] = payload
-    data["_meta"] = {"quick": QUICK}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _timing(tf: float = 0.1):

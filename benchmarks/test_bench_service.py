@@ -25,14 +25,13 @@ consistency -- still hold.
     BENCH_SERVICE_QUICK=1 pytest benchmarks/test_bench_service.py -q
 """
 
-import json
-import os
-from pathlib import Path
 
 from repro.experiments.traffic import TrafficConfig, run_traffic
 
-QUICK = os.environ.get("BENCH_SERVICE_QUICK", "0") not in ("0", "", "false")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+from .conftest import BenchRecorder
+
+_record = BenchRecorder("service")
+QUICK = _record.quick
 
 CONFIG = (
     TrafficConfig(
@@ -53,20 +52,6 @@ CONFIG = (
 SPEEDUP_GATE = 5.0
 RELATIVE_TOL = 1.5
 ABSOLUTE_BAND = 3.0
-
-
-def _record(name: str, payload: dict) -> None:
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[name] = payload
-    data["_meta"] = {"quick": QUICK}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_traffic_service(tmp_path):

@@ -19,10 +19,8 @@ so the whole module runs in a few seconds.
     BENCH_SIMSCALE_QUICK=1 pytest benchmarks/test_bench_simscale.py -q
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +35,10 @@ from repro.models.simmodel import (
 from repro.simkit import Environment
 from repro.stats.timing import ranger_timing
 
-QUICK = os.environ.get("BENCH_SIMSCALE_QUICK", "0") not in ("0", "", "false")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_simscale.json"
+from .conftest import BenchRecorder
+
+_record = BenchRecorder("simscale")
+QUICK = _record.quick
 
 #: Acceptance floor from the issue (full grid); quick mode uses a
 #: reduced grid where the fixed overheads weigh more.
@@ -53,22 +53,6 @@ def _best_of(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_simscale.json (partial runs of
-    the module keep the other entries intact)."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[name] = payload
-    data["_meta"] = {"quick": QUICK, "cpus": os.cpu_count()}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_bench_async_prediction_grid():

@@ -18,10 +18,8 @@ so the module runs in a few seconds.
     BENCH_STORAGE_QUICK=1 pytest benchmarks/test_bench_storage.py -q
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,28 +30,14 @@ from repro.storage import (
     Study,
 )
 
-QUICK = os.environ.get("BENCH_STORAGE_QUICK", "0") not in ("0", "", "false")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
+from .conftest import BenchRecorder
+
+_record = BenchRecorder("storage")
+QUICK = _record.quick
 
 N_APPENDS = 300 if QUICK else 2_000
 N_TRIALS = 100 if QUICK else 500
 N_REPLAY = 1_000 if QUICK else 10_000
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_storage.json (partial runs of
-    the module keep the other entries intact)."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[name] = payload
-    data["_meta"] = {"quick": QUICK}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _backends(tmp_path):

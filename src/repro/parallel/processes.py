@@ -7,44 +7,32 @@ message carries only the decision vectors, and each result only the
 objective/constraint blocks, mirroring the constant-payload messages
 whose cost the paper measured as TC.
 
-The master is *supervised* (docs/RESILIENCE.md): instead of blocking
-forever on ``results.get()``, it receives with a bounded timeout and
-sweeps the pool for dead workers (``Process.is_alive()``) and blown
-per-task deadlines on every expiry.  Lost in-flight tasks are
-re-dispatched with exactly-once ingestion (task-id dedup keeps NFE
-accounting exact), dead workers are respawned with capped exponential
-backoff (or the pool shrinks gracefully when respawn is off), worker
-replies are validated and quarantined when corrupt, and a fully
-extinct pool raises :exc:`NoLiveWorkersError` instead of hanging.
-Each worker slot owns a private task queue, so the master knows
-exactly which in-flight tasks died with a worker.
+This module is the transport under the supervised master loop
+(:func:`repro.parallel.supervision.run_master_loop`, docs/RESILIENCE.md):
+the loop sweeps the pool for dead workers (``Process.is_alive()``) and
+blown per-task deadlines, a hung worker is killed, and dead workers are
+respawned with capped exponential backoff (or the pool shrinks
+gracefully when respawn is off).  Each worker slot owns a private task
+queue, so the master knows exactly which in-flight tasks died with a
+worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import queue as pyqueue
 import time
+from multiprocessing.queues import Queue as _MPQueue
+from multiprocessing.reduction import ForkingPickler
 from typing import Optional
 
 import numpy as np
 
-from .. import fastpath
-from ..core.borg import BorgConfig, BorgEngine
-from ..core.checkpoint import restore_engine, save_checkpoint
-from ..core.events import RunHistory
+from ..core.borg import BorgConfig
 from ..problems.base import Problem
 from .results import ParallelRunResult
-from .supervision import (
-    MSG_ERR,
-    MSG_OK,
-    FaultStats,
-    NoLiveWorkersError,
-    SupervisorConfig,
-    TaskTable,
-    assign_results,
-    validate_reply,
-)
+from .supervision import SupervisorConfig, WorkerPool, evaluate_task, run_master_loop
 
 __all__ = ["run_process_master_slave"]
 
@@ -62,41 +50,21 @@ def _worker_main(problem: Problem, tasks, results, wid: int, generation: int = 0
     reseed = getattr(problem, "reseed_worker", None)
     if callable(reseed):
         reseed(wid, generation)
-    while True:
-        item = tasks.get()
-        if item is None:
-            return
-        task_id, X = item
-        try:
-            X = np.asarray(X, dtype=float)
-            if fastpath.enabled():
-                F, C = problem._evaluate_batch(X)
-            else:
-                F, C = problem._evaluate_batch_fallback(X)
-            if hasattr(problem, "real_delay") and problem.real_delay:
-                time.sleep(
-                    sum(problem.sample_evaluation_time() for _ in range(X.shape[0]))
-                )
-            results.put(
-                (
-                    MSG_OK,
-                    wid,
-                    task_id,
-                    np.asarray(F, dtype=float),
-                    None if C is None else np.asarray(C, dtype=float),
-                )
-            )
-        except KeyboardInterrupt:
-            return
-        except BaseException as exc:  # noqa: BLE001 -- structured error reply
-            try:
-                results.put(
-                    (MSG_ERR, wid, task_id, f"{type(exc).__name__}: {exc}")
-                )
-            except Exception:
-                return
-            if isinstance(exc, SystemExit):
-                return
+    with contextlib.suppress(KeyboardInterrupt):
+        for task_id, X in iter(tasks.get, None):
+            results.put(evaluate_task(problem, wid, task_id, X))
+
+
+class _ReplyQueue(_MPQueue):
+    """Result queue whose ``put`` writes before returning.  The stock
+    feeder thread writes later, under the write lock all workers share,
+    so a worker crashing mid-write would silence every other worker.
+    (Mirrors the stock ``put`` plus feeder, on their private fields.)"""
+
+    def put(self, obj, block=True, timeout=None) -> None:
+        self._sem.acquire(block, timeout)
+        with self._wlock or contextlib.nullcontext():
+            self._send_bytes(ForkingPickler.dumps(obj))
 
 
 def _drain_and_close(q) -> None:
@@ -122,9 +90,10 @@ def _drain_and_close(q) -> None:
 
 
 class _WorkerSlot:
-    """One supervised worker position (stable ``wid`` across respawns)."""
+    """One supervised worker position (stable ``wid`` across respawns);
+    retired when it has neither a process nor a pending respawn."""
 
-    __slots__ = ("wid", "proc", "queue", "generation", "respawns", "respawn_at", "retired")
+    __slots__ = ("wid", "proc", "queue", "generation", "respawns", "respawn_at")
 
     def __init__(self, wid: int) -> None:
         self.wid = wid
@@ -134,15 +103,100 @@ class _WorkerSlot:
         self.respawns = 0
         #: Monotonic instant of the pending respawn (None = not pending).
         self.respawn_at: Optional[float] = None
-        self.retired = False
 
     @property
     def alive(self) -> bool:
         return self.proc is not None and self.proc.is_alive()
 
-    @property
-    def awaiting_respawn(self) -> bool:
-        return not self.retired and self.proc is None and self.respawn_at is not None
+
+class _ProcessPool(WorkerPool):
+    """Worker processes, one private task queue each, one result queue."""
+
+    name = "processes"
+
+    def __init__(self, problem: Problem, size: int, start_method: str, sup) -> None:
+        self.problem, self.size, self.sup = problem, size, sup
+        self.observed: dict = {}
+        self.ctx = mp.get_context(start_method)
+        self.results = None
+        self.slots = [_WorkerSlot(w) for w in range(size)]
+
+    def _spawn(self, slot: _WorkerSlot) -> None:
+        slot.queue = self.ctx.Queue()
+        args = (self.problem, slot.queue, self.results, slot.wid, slot.generation)
+        slot.proc = self.ctx.Process(target=_worker_main, args=args, daemon=True)
+        slot.respawn_at = None
+        slot.proc.start()
+
+    def _bury(self, slot: _WorkerSlot) -> None:
+        """Reap the slot's process, then schedule a respawn or retire it."""
+        proc, task_queue = slot.proc, slot.queue
+        slot.proc = slot.queue = None
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=5.0)
+        _drain_and_close(task_queue)
+        sup, cap = self.sup, self.sup.max_respawns
+        if sup.respawn and (cap is None or slot.respawns < cap):
+            slot.respawn_at = time.monotonic() + sup.backoff(slot.respawns)
+            slot.respawns += 1
+            slot.generation += 1
+
+    def start(self) -> None:
+        self.results = _ReplyQueue(ctx=self.ctx)
+        for slot in self.slots:
+            self._spawn(slot)
+
+    def live(self) -> list[int]:
+        return [s.wid for s in self.slots if s.alive]
+
+    def submit(self, wid: int, task_id: int, X: np.ndarray) -> None:
+        self.slots[wid].queue.put((task_id, X))
+
+    def receive(self, timeout: float) -> Optional[tuple]:
+        try:
+            return self.results.get(timeout=timeout)
+        except pyqueue.Empty:
+            return None
+
+    def poll(self) -> tuple[list[tuple[int, str]], int]:
+        dead, respawned = [], 0
+        now = time.monotonic()
+        for slot in self.slots:
+            if slot.proc is None:
+                if slot.respawn_at is not None and now >= slot.respawn_at:
+                    self._spawn(slot)
+                    respawned += 1
+            elif not slot.proc.is_alive():
+                self._bury(slot)
+                dead.append((slot.wid, "worker process died"))
+        return dead, respawned
+
+    def kill(self, wid: int, task_id: int) -> bool:
+        self._bury(self.slots[wid])
+        return True
+
+    def exhausted(self) -> bool:
+        return not any(s.alive or s.respawn_at is not None for s in self.slots)
+
+    def close(self) -> None:
+        for slot in self.slots:
+            if slot.alive:
+                try:
+                    slot.queue.put(None)
+                except (OSError, ValueError):
+                    pass
+        # Then reap every worker and drain both directions, releasing the
+        # queue feeder threads so interrupted runs strand no zombies.
+        deadline = time.monotonic() + 10.0
+        for slot in self.slots:
+            if slot.proc is not None:
+                slot.proc.join(timeout=max(0.1, deadline - time.monotonic()))
+                if slot.proc.is_alive():
+                    slot.proc.terminate()
+                    slot.proc.join(timeout=1.0)
+                _drain_and_close(slot.queue)
+        _drain_and_close(self.results)
 
 
 def run_process_master_slave(
@@ -175,268 +229,12 @@ def run_process_master_slave(
     restores a previous checkpoint and continues toward ``max_nfe``
     (``seed`` is then ignored -- the RNG state comes from the file).
     """
-    if processors < 2:
-        raise ValueError("need at least 2 processors (master + 1 worker)")
-    if max_nfe < 1:
-        raise ValueError("max_nfe must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if checkpoint_interval is not None and checkpoint_interval < 1:
-        raise ValueError("checkpoint_interval must be >= 1")
-    cfg = config or BorgConfig()
     sup = supervisor or SupervisorConfig()
-    stats = FaultStats()
-    if resume is not None:
-        engine = restore_engine(problem, resume, config=config)
-        cfg = engine.config
-    else:
-        engine = BorgEngine(problem, cfg, rng=np.random.default_rng(seed))
-    engine.publisher = publisher
-    history = RunHistory(
-        snapshot_interval=snapshot_interval or cfg.snapshot_interval
-    )
-    ckpt_every = checkpoint_interval or cfg.snapshot_interval
-    last_checkpoint_nfe = engine.nfe
-    nworkers = processors - 1
-    ctx = mp.get_context(start_method)
-    results = ctx.Queue()
-    worker_evals = np.zeros(nworkers, dtype=int)
-    table = TaskTable()
-    #: Faulted tasks awaiting a live worker (dispatch backlog).
-    backlog: list = []
-    slots = [_WorkerSlot(w) for w in range(nworkers)]
-
-    def spawn(slot: _WorkerSlot) -> None:
-        slot.queue = ctx.Queue()
-        slot.proc = ctx.Process(
-            target=_worker_main,
-            args=(problem, slot.queue, results, slot.wid, slot.generation),
-            daemon=True,
-        )
-        slot.respawn_at = None
-        slot.proc.start()
-
-    def live_slots() -> list[_WorkerSlot]:
-        return [s for s in slots if s.alive]
-
-    def assign(record) -> bool:
-        """Hand ``record`` to the least-loaded live worker; False if none."""
-        candidates = live_slots()
-        if not candidates:
-            backlog.append(record)
-            return False
-        slot = min(candidates, key=lambda s: len(table.assigned_to(s.wid)))
-        record.mark_dispatched(slot.wid, sup.task_timeout)
-        slot.queue.put(
-            (record.task_id, np.stack([c.variables for c in record.group]))
-        )
-        return True
-
-    def dispatch(count: int) -> None:
-        record = table.new([engine.next_candidate() for _ in range(count)])
-        assign(record)
-
-    def redispatch(record, why: str) -> None:
-        if record.dispatches >= sup.max_dispatches_per_task:
-            raise NoLiveWorkersError(
-                f"task {record.task_id} failed {record.dispatches} dispatches "
-                f"(last: {why}); giving up"
-            )
-        stats.tasks_redispatched += 1
-        if publisher is not None:
-            publisher.emit("redispatch", task=record.task_id, reason=why)
-        assign(record)
-
-    def flush_backlog() -> None:
-        while backlog and live_slots():
-            assign(backlog.pop(0))
-
-    def retire_or_schedule_respawn(slot: _WorkerSlot, now: float) -> None:
-        can_respawn = sup.respawn and (
-            sup.max_respawns is None or slot.respawns < sup.max_respawns
-        )
-        if can_respawn:
-            slot.respawn_at = now + sup.backoff(slot.respawns)
-            slot.respawns += 1
-            slot.generation += 1
-        else:
-            slot.retired = True
-            slot.respawn_at = None
-
-    def handle_worker_death(slot: _WorkerSlot, why: str, now: float) -> None:
-        stats.failures_detected += 1
-        if publisher is not None:
-            publisher.emit("worker-fault", worker=slot.wid, reason=why)
-        proc, task_queue = slot.proc, slot.queue
-        slot.proc = None
-        slot.queue = None
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-        if task_queue is not None:
-            _drain_and_close(task_queue)
-        retire_or_schedule_respawn(slot, now)
-        # Everything assigned to this slot is presumed lost (queued tasks
-        # were drained above; the running one died with the worker).  The
-        # dedup table absorbs any reply the worker managed to send first.
-        for record in table.assigned_to(slot.wid):
-            record.wid = None
-            redispatch(record, why)
-
-    def supervise() -> None:
-        now = time.monotonic()
-        for slot in slots:
-            if slot.retired:
-                continue
-            if slot.proc is None:
-                if slot.respawn_at is not None and now >= slot.respawn_at:
-                    spawn(slot)
-                    stats.workers_respawned += 1
-                    flush_backlog()
-                continue
-            if not slot.proc.is_alive():
-                handle_worker_death(slot, "worker process died", now)
-        if sup.task_timeout is not None:
-            for record in table.expired(now):
-                # A death sweep above may already have re-dispatched this
-                # record (fresh deadline / backlog); re-check before acting.
-                if record.wid is None or (
-                    record.deadline is not None and now <= record.deadline
-                ):
-                    continue
-                # A blown deadline means the assigned worker is hung;
-                # kill it so its slot (and the task) can recover.
-                slot = slots[record.wid]
-                if slot.alive:
-                    handle_worker_death(slot, "task deadline exceeded", now)
-                else:
-                    record.wid = None
-                    redispatch(record, "task deadline exceeded")
-        if not any(s.alive or s.awaiting_respawn for s in slots):
-            raise NoLiveWorkersError(
-                f"all {nworkers} workers are dead and respawn is "
-                f"{'exhausted' if sup.respawn else 'disabled'} "
-                f"(nfe {engine.nfe}/{max_nfe})"
-            )
-
-    def maybe_checkpoint(force: bool = False) -> None:
-        nonlocal last_checkpoint_nfe
-        if checkpoint is None:
-            return
-        if not force and engine.nfe - last_checkpoint_nfe < ckpt_every:
-            return
-        in_flight = [c for r in table.records() for c in r.group]
-        save_checkpoint(
-            engine,
-            checkpoint,
-            extra_pending=in_flight,
-            meta={"backend": "processes", "max_nfe": max_nfe},
-        )
-        last_checkpoint_nfe = engine.nfe
-        stats.checkpoints_written += 1
-
-    start = time.perf_counter()
-    for slot in slots:
-        spawn(slot)
-
-    try:
-        for _ in range(nworkers):
-            remaining = max_nfe - engine.nfe - table.candidates_in_flight()
-            if remaining <= 0:
-                break
-            dispatch(min(batch_size, remaining))
-        while engine.nfe < max_nfe:
-            supervise()
-            try:
-                reply = results.get(timeout=sup.poll_interval)
-            except pyqueue.Empty:
-                continue
-            kind, wid, task_id = reply[0], reply[1], reply[2]
-            record = table.get(task_id)
-            if record is None:
-                stats.duplicate_results += 1
-                continue
-            if kind == MSG_ERR:
-                stats.worker_errors += 1
-                if record.wid != wid:
-                    # Stale error from a superseded dispatch; the live
-                    # re-dispatch is still in flight elsewhere.
-                    stats.duplicate_results += 1
-                    continue
-                stats.results_quarantined += 1
-                record.wid = None
-                if publisher is not None:
-                    publisher.emit(
-                        "worker-fault", worker=wid, reason=str(reply[3])
-                    )
-                redispatch(record, f"worker error: {reply[3]}")
-                continue
-            F, C = reply[3], reply[4]
-            if sup.validate:
-                reason = validate_reply(
-                    F, C, len(record.group), problem.nobjs, problem.nconstraints
-                )
-                if reason is not None:
-                    stats.results_quarantined += 1
-                    record.wid = None
-                    redispatch(record, f"invalid result: {reason}")
-                    continue
-            table.pop(task_id)
-            assign_results(record.group, F, C)
-            for candidate in record.group:
-                problem.evaluations += 1
-                engine.ingest(candidate)
-            worker_evals[wid] += len(record.group)
-            history.maybe_record(
-                engine.nfe,
-                time.perf_counter() - start,
-                engine.archive.objectives,
-                engine.restarts,
-            )
-            maybe_checkpoint()
-            remaining = max_nfe - engine.nfe - table.candidates_in_flight()
-            if remaining > 0:
-                dispatch(min(batch_size, remaining))
-                flush_backlog()
-    finally:
-        for slot in slots:
-            if slot.alive:
-                try:
-                    slot.queue.put(None)
-                except (OSError, ValueError):
-                    pass
-        deadline = time.monotonic() + 10.0
-        for slot in slots:
-            if slot.proc is None:
-                continue
-            slot.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-                slot.proc.join(timeout=1.0)
-        # Drain both directions and release the queue feeder threads so
-        # interrupted runs don't strand zombies (see docs/RESILIENCE.md).
-        for slot in slots:
-            if slot.queue is not None:
-                _drain_and_close(slot.queue)
-        _drain_and_close(results)
-
-    if checkpoint is not None and engine.nfe > last_checkpoint_nfe:
-        maybe_checkpoint(force=True)
-    elapsed = time.perf_counter() - start
-    history.maybe_record(
-        engine.nfe, elapsed, engine.archive.objectives, engine.restarts, force=True
-    )
-    history.total_nfe = engine.nfe
-    history.total_restarts = engine.restarts
-    history.elapsed = elapsed
-
-    return ParallelRunResult(
-        elapsed=elapsed,
-        nfe=engine.nfe,
-        processors=processors,
-        borg=engine.result(history),
-        history=history,
-        worker_evaluations=worker_evals,
-        faults=stats,
+    pool = _ProcessPool(problem, processors - 1, start_method, sup)
+    return run_master_loop(
+        pool, problem, max_nfe, config=config, seed=seed,
+        snapshot_interval=snapshot_interval, batch_size=batch_size,
+        supervisor=sup, checkpoint=checkpoint,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        publisher=publisher,
     )

@@ -102,18 +102,11 @@ def optimize(
             config=config, seed=seed, **kwargs,
         )
 
-    if backend in ("threads", "threads-sync"):
-        return run_threaded_master_slave(
-            problem, processors, max_nfe,
-            config=config, seed=seed, sync=(backend == "threads-sync"),
-            supervisor=supervisor, checkpoint=checkpoint,
-            checkpoint_interval=checkpoint_interval, resume=resume,
-            publisher=publisher, **kwargs,
-        )
-
-    return run_process_master_slave(
-        problem, processors, max_nfe, config=config, seed=seed,
-        supervisor=supervisor, checkpoint=checkpoint,
-        checkpoint_interval=checkpoint_interval, resume=resume,
-        publisher=publisher, **kwargs,
+    kwargs.update(
+        config=config, seed=seed, supervisor=supervisor, checkpoint=checkpoint,
+        checkpoint_interval=checkpoint_interval, resume=resume, publisher=publisher,
     )
+    if backend == "processes":
+        return run_process_master_slave(problem, processors, max_nfe, **kwargs)
+    sync = backend == "threads-sync"
+    return run_threaded_master_slave(problem, processors, max_nfe, sync=sync, **kwargs)

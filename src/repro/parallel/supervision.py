@@ -18,22 +18,35 @@ churn instead of merely simulating it:
   :class:`~repro.parallel.results.ParallelRunResult` so robustness is
   observable, not silent;
 * :exc:`NoLiveWorkersError` -- raised instead of hanging when the
-  worker pool is extinct and respawn cannot replenish it.
+  worker pool is extinct and respawn cannot replenish it;
+* :func:`run_master_loop` -- the one supervised master loop of every
+  real backend: the master alone generates, ingests and archives
+  (§II), while a :class:`WorkerPool` (threads, processes, MPI ranks)
+  only moves tasks to workers and replies back, and
+  :func:`evaluate_task` is the worker body they share.
 
 The supervision *state machine* is documented in docs/RESILIENCE.md.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .. import fastpath
+from ..core.borg import BorgConfig, BorgEngine
+from ..core.checkpoint import restore_engine, save_checkpoint
+from ..core.events import RunHistory
 from ..core.solution import Solution
+from ..problems.base import Problem
 
 __all__ = [
+    "ANY_WORKER",
     "MSG_OK",
     "MSG_ERR",
     "FaultStats",
@@ -41,16 +54,22 @@ __all__ = [
     "SupervisorConfig",
     "TaskRecord",
     "TaskTable",
+    "WorkerPool",
     "assign_results",
+    "evaluate_task",
+    "run_master_loop",
     "validate_reply",
 ]
 
-#: Reply-tuple tags of the worker protocol (shared by the thread and
-#: process backends): ``(MSG_OK, wid, task_id, payload...)`` for a
+#: Reply-tuple tags of the worker protocol (shared by every real
+#: backend): ``(MSG_OK, wid, task_id, payload...)`` for a
 #: completed evaluation, ``(MSG_ERR, wid, task_id, message)`` when the
 #: worker caught a per-task exception.
 MSG_OK = "ok"
 MSG_ERR = "err"
+
+#: Slot id of a task put on a shared queue that any worker takes from.
+ANY_WORKER = -1
 
 
 class NoLiveWorkersError(RuntimeError):
@@ -76,7 +95,7 @@ class SupervisorConfig:
     poll_interval: float = 0.05
     #: Per-task deadline (seconds from dispatch).  A task exceeding it
     #: is presumed lost to a hung worker: the worker is killed (process
-    #: backend) or marked suspect (thread backend) and the task is
+    #: backend) or counted out (threads, MPI) and the task is
     #: re-dispatched.  ``None`` disables deadline enforcement.
     task_timeout: Optional[float] = None
     #: Respawn dead worker processes (process backend only).
@@ -183,6 +202,12 @@ class TaskTable:
     def __init__(self) -> None:
         self._records: dict[int, TaskRecord] = {}
         self._next_id = 0
+        #: Records assigned to each worker slot, the slots holding none
+        #: (in the order they fell idle) and the candidates in all
+        #: records, kept up to date so the master never scans the table.
+        self._load: Counter = Counter()
+        self._idle: dict[int, None] = {}
+        self._candidates = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -194,6 +219,7 @@ class TaskTable:
         record = TaskRecord(task_id=self._next_id, group=group)
         self._records[record.task_id] = record
         self._next_id += 1
+        self._candidates += len(group)
         return record
 
     def get(self, task_id: int) -> Optional[TaskRecord]:
@@ -201,11 +227,43 @@ class TaskTable:
 
     def pop(self, task_id: int) -> Optional[TaskRecord]:
         """Resolve ``task_id``; None means an already-resolved duplicate."""
-        return self._records.pop(task_id, None)
+        record = self._records.pop(task_id, None)
+        if record is not None:
+            self.release(record)
+            self._candidates -= len(record.group)
+        return record
+
+    def dispatch(self, record: TaskRecord, wid: int, timeout: Optional[float]) -> None:
+        """Assign ``record`` to worker slot ``wid`` (moving it off any
+        slot it held) with a deadline ``timeout`` seconds away."""
+        self.release(record)
+        record.mark_dispatched(wid, timeout)
+        self._load[wid] += 1
+        self._idle.pop(wid, None)
+
+    def release(self, record: TaskRecord) -> None:
+        """Take ``record`` off its worker slot (it waits in a backlog)."""
+        if record.wid is not None:
+            self._load[record.wid] -= 1
+            if not self._load[record.wid]:
+                self._idle[record.wid] = None
+            record.wid = None
+
+    def add_idle(self, slots: Iterable[int]) -> None:
+        """Register worker slots that hold no record yet."""
+        self._idle.update((w, None) for w in slots if not self._load[w])
+
+    def idle(self) -> Collection[int]:
+        """Registered slots holding no record, longest idle first."""
+        return self._idle.keys()
+
+    def load(self, wid: int) -> int:
+        """Number of records assigned to worker slot ``wid``."""
+        return self._load[wid]
 
     def candidates_in_flight(self) -> int:
         """Total candidates outstanding (dispatch accounting)."""
-        return sum(len(r.group) for r in self._records.values())
+        return self._candidates
 
     def assigned_to(self, wid: int) -> list[TaskRecord]:
         """Records currently assigned to worker slot ``wid``."""
@@ -269,3 +327,285 @@ def assign_results(
         candidate.objectives = np.asarray(F[i], dtype=float)
         if C is not None:
             candidate.constraints = np.asarray(C[i], dtype=float)
+
+
+_DELAY_LOCK = threading.Lock()  # workers sharing a problem draw delays in turn
+
+
+def evaluate_task(problem: Problem, wid: int, task_id: int, X) -> tuple:
+    """Worker side: evaluate the block ``X`` (sleeping the problem's
+    delay when it is real) and return the reply tuple.  An exception
+    becomes an ``MSG_ERR`` reply; only a hard crash kills the worker.
+    Workers never touch candidate solutions, so a late reply cannot
+    corrupt an ingested one."""
+    try:
+        X = np.asarray(X, dtype=float)
+        if fastpath.enabled():
+            F, C = problem._evaluate_batch(X)
+        else:
+            F, C = problem._evaluate_batch_fallback(X)
+        if getattr(problem, "real_delay", False):
+            with _DELAY_LOCK:
+                delay = sum(problem.sample_evaluation_time() for _ in X)
+            time.sleep(delay)
+        C = None if C is None else np.asarray(C, dtype=float)
+        return (MSG_OK, wid, task_id, np.asarray(F, dtype=float), C)
+    except Exception as exc:  # noqa: BLE001 -- structured error reply
+        return (MSG_ERR, wid, task_id, f"{type(exc).__name__}: {exc}")
+
+
+class WorkerPool:
+    """Transport under :func:`run_master_loop`: it moves task blocks to
+    workers and reply tuples back; every decision about what to send,
+    re-send, ingest or give up on belongs to the loop.  The defaults
+    suit a transport that can neither see a worker die nor kill one.
+
+    ``size`` is the number of worker slots (the paper's P - 1), ``name``
+    goes into checkpoint metadata, and ``observed`` (measured cost
+    samples) becomes ``ParallelRunResult.observed``.
+    """
+
+    size: int
+    name: str
+    observed: dict
+
+    def start(self) -> None:
+        """Launch the workers."""
+
+    def close(self) -> None:
+        """Stop the workers and release the transport."""
+
+    def live(self) -> Collection[int]:
+        """Slots a task can go to now, in slot order (``[ANY_WORKER]``: a
+        shared queue).  The loop tests membership, so a large pool
+        should return a set-like view."""
+        raise NotImplementedError
+
+    def submit(self, wid: int, task_id: int, X: np.ndarray) -> None:
+        """Send the ``(n, nvars)`` block ``X`` to slot ``wid``."""
+        raise NotImplementedError
+
+    def receive(self, timeout: float) -> Optional[tuple]:
+        """Next reply tuple, or ``None`` after ``timeout`` seconds."""
+        raise NotImplementedError
+
+    def poll(self) -> tuple[list[tuple[int, str]], int]:
+        """Liveness sweep: (dead slots with reasons, respawns done)."""
+        return [], 0
+
+    def kill(self, wid: int, task_id: int) -> bool:
+        """``task_id`` blew its deadline on ``wid``: True if the worker
+        was killed (all its tasks are lost), False if counted out."""
+        return False
+
+    def exhausted(self) -> bool:
+        """No worker is live and none is coming back."""
+        return False
+
+
+def run_master_loop(
+    pool: WorkerPool,
+    problem: Problem,
+    max_nfe: int,
+    config: Optional[BorgConfig] = None,
+    seed: Optional[int] = None,
+    snapshot_interval: Optional[int] = None,
+    batch_size: int = 1,
+    supervisor: Optional[SupervisorConfig] = None,
+    checkpoint: Optional[str] = None,
+    checkpoint_interval: Optional[int] = None,
+    resume: Optional[str] = None,
+    publisher=None,
+    sync: bool = False,
+):
+    """Supervised master-slave Borg over ``pool``'s workers.
+
+    Asynchronous: a task of ``batch_size`` candidates per worker stays
+    in flight, each ingested reply replaced at once (§II); ``sync=True``
+    dispatches a generation only when the previous one is all in.  Each
+    iteration sweeps liveness and deadlines, then waits up to
+    ``poll_interval`` for a reply; lost, failed and corrupt tasks are
+    re-dispatched.  The clock stops before the pool shuts down.
+    """
+    from .results import ParallelRunResult  # noqa: PLC0415 -- import cycle
+
+    if pool.size < 1:
+        raise ValueError("need at least 2 processors (master + 1 worker)")
+    if max_nfe < 1:
+        raise ValueError("max_nfe must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if checkpoint_interval is not None and checkpoint_interval < 1:
+        raise ValueError("checkpoint_interval must be >= 1")
+    sup = supervisor or SupervisorConfig()
+    stats = FaultStats()
+    if resume is not None:
+        engine = restore_engine(problem, resume, config=config)
+    else:
+        rng = np.random.default_rng(seed)
+        engine = BorgEngine(problem, config or BorgConfig(), rng=rng)
+    engine.publisher = publisher
+    cfg = engine.config
+    history = RunHistory(
+        snapshot_interval=snapshot_interval or cfg.snapshot_interval
+    )
+    ckpt_every = checkpoint_interval or cfg.snapshot_interval
+    last_checkpoint_nfe = engine.nfe
+    worker_evals = np.zeros(pool.size, dtype=int)
+    table = TaskTable()
+    #: Faulted tasks waiting for a live worker.
+    backlog: list[TaskRecord] = []
+    emit = publisher.emit if publisher is not None else lambda kind, **data: None
+
+    def assign(record: TaskRecord, avoid=None) -> None:
+        """Send ``record`` to the longest idle live slot, else the least
+        loaded, else backlog it.  In steady state the only idle slot is
+        the one that just replied, so a dispatch costs O(1) however many
+        slots there are.  ``avoid`` (the slot a re-dispatched task
+        failed on) is taken only when no other slot is live."""
+        targets = pool.live()
+        if not targets:
+            table.release(record)
+            backlog.append(record)
+            return
+        wid = next((w for w in table.idle() if w != avoid and w in targets), None)
+        if wid is None:
+            wid = min(targets, key=lambda w: (w == avoid, table.load(w)))
+        table.dispatch(record, wid, sup.task_timeout)
+        pool.submit(wid, record.task_id, np.stack([c.variables for c in record.group]))
+
+    def refill() -> None:
+        if sync and table:
+            return  # a generation is dispatched only once the last is in
+        while len(table) < pool.size:
+            remaining = max_nfe - engine.nfe - table.candidates_in_flight()
+            if remaining <= 0:
+                return
+            count = min(batch_size, remaining)
+            assign(table.new([engine.next_candidate() for _ in range(count)]))
+
+    def redispatch(record: TaskRecord, why: str) -> None:
+        if record.dispatches >= sup.max_dispatches_per_task:
+            raise NoLiveWorkersError(
+                f"task {record.task_id} failed {record.dispatches} dispatches "
+                f"(last: {why}); giving up"
+            )
+        stats.tasks_redispatched += 1
+        emit("redispatch", task=record.task_id, reason=why)
+        assign(record, avoid=record.wid)
+
+    def worker_lost(wid: int, why: str) -> None:
+        stats.failures_detected += 1
+        emit("worker-fault", worker=wid, reason=why)
+        # Any reply the worker sent first is absorbed by task-id dedup.
+        for record in table.assigned_to(wid):
+            redispatch(record, why)
+
+    def supervise() -> None:
+        dead, respawned = pool.poll()
+        stats.workers_respawned += respawned
+        for wid, why in dead:
+            worker_lost(wid, why)
+        if sup.task_timeout is not None:
+            now = time.monotonic()
+            for record in table.expired(now):
+                # An earlier kill in this sweep may have re-dispatched it.
+                if record.wid is None or now <= record.deadline:
+                    continue
+                why = "task deadline exceeded"
+                if pool.kill(record.wid, record.task_id):
+                    worker_lost(record.wid, why)
+                else:
+                    stats.failures_detected += 1
+                    emit("worker-fault", task=record.task_id, reason=why)
+                    redispatch(record, why)
+        while backlog and pool.live():
+            assign(backlog.pop(0))
+        if pool.exhausted():
+            raise NoLiveWorkersError(
+                f"all {pool.size} workers are dead and respawn is "
+                f"{'exhausted' if sup.respawn else 'disabled'} "
+                f"(nfe {engine.nfe}/{max_nfe})"
+            )
+
+    def maybe_checkpoint(every: int) -> None:
+        nonlocal last_checkpoint_nfe
+        if checkpoint is None or engine.nfe - last_checkpoint_nfe < every:
+            return
+        in_flight = [c for r in table.records() for c in r.group]
+        meta = {"backend": pool.name, "max_nfe": max_nfe}
+        save_checkpoint(engine, checkpoint, extra_pending=in_flight, meta=meta)
+        last_checkpoint_nfe = engine.nfe
+        stats.checkpoints_written += 1
+
+    def handle(reply: tuple) -> None:
+        kind, wid, task_id = reply[:3]
+        record = table.get(task_id)
+        if record is None:
+            stats.duplicate_results += 1
+            return
+        if kind == MSG_ERR:
+            stats.worker_errors += 1
+            if record.wid not in (wid, ANY_WORKER):
+                # Stale error: the live re-dispatch is still in flight.
+                stats.duplicate_results += 1
+                return
+            stats.results_quarantined += 1
+            emit("worker-fault", worker=wid, reason=str(reply[3]))
+            redispatch(record, f"worker error: {reply[3]}")
+            return
+        F, C = reply[3], reply[4]
+        if sup.validate:
+            reason = validate_reply(
+                F, C, len(record.group), problem.nobjs, problem.nconstraints
+            )
+            if reason is not None:
+                stats.results_quarantined += 1
+                redispatch(record, f"invalid result: {reason}")
+                return
+        table.pop(task_id)
+        assign_results(record.group, F, C)
+        for candidate in record.group:
+            engine.ingest(candidate)
+        problem.evaluations += len(record.group)
+        worker_evals[wid] += len(record.group)
+        history.maybe_record(
+            engine.nfe,
+            time.perf_counter() - start,
+            engine.archive.objectives,
+            engine.restarts,
+        )
+        maybe_checkpoint(ckpt_every)
+        refill()
+
+    start = time.perf_counter()
+    pool.start()
+    try:
+        table.add_idle(pool.live())
+        refill()
+        while engine.nfe < max_nfe:
+            supervise()
+            reply = pool.receive(sup.poll_interval)
+            if reply is not None:
+                handle(reply)
+        elapsed = time.perf_counter() - start
+    finally:
+        pool.close()
+
+    maybe_checkpoint(1)
+    history.maybe_record(
+        engine.nfe, elapsed, engine.archive.objectives, engine.restarts, force=True
+    )
+    history.total_nfe = engine.nfe
+    history.total_restarts = engine.restarts
+    history.elapsed = elapsed
+    return ParallelRunResult(
+        elapsed=elapsed,
+        nfe=engine.nfe,
+        processors=pool.size + 1,
+        borg=engine.result(history),
+        history=history,
+        worker_evaluations=worker_evals,
+        observed=pool.observed,
+        faults=stats,
+    )

@@ -11,14 +11,13 @@ The GIL serialises Python bytecode, but evaluation here is either
 numpy-bound or sleep-bound, both of which release the GIL, so worker
 threads do overlap usefully.
 
-Supervision (docs/RESILIENCE.md): the master receives with a bounded
-timeout and honours the same structured worker protocol as the process
-backend -- per-task exceptions come back as ``("err", ...)`` replies
-and are re-dispatched, corrupt results are quarantined and
-re-evaluated, and a per-task deadline re-dispatches tasks stuck on a
-hung thread (threads cannot be killed, so the stuck worker is simply
-counted out via its heartbeat; a late reply from it is dropped by
-task-id dedup).  NFE accounting stays exact throughout.
+Supervision (docs/RESILIENCE.md): this module is the transport under
+the supervised master loop
+(:func:`repro.parallel.supervision.run_master_loop`); threads take
+tasks from one shared queue.  Threads cannot be killed, so a thread
+past a task deadline is counted out: its task is re-dispatched, a late
+reply from it is dropped by task-id dedup, and shutdown does not wait
+for it.
 """
 
 from __future__ import annotations
@@ -30,26 +29,82 @@ from typing import Optional
 
 import numpy as np
 
-from .. import fastpath
-from ..core.borg import BorgConfig, BorgEngine
-from ..core.checkpoint import restore_engine, save_checkpoint
-from ..core.events import RunHistory
+from ..core.borg import BorgConfig
 from ..problems.base import Problem
 from ..simkit.monitor import TallyMonitor
 from .results import ParallelRunResult
 from .supervision import (
-    MSG_ERR,
-    MSG_OK,
-    FaultStats,
+    ANY_WORKER,
     SupervisorConfig,
-    TaskTable,
-    assign_results,
-    validate_reply,
+    WorkerPool,
+    evaluate_task,
+    run_master_loop,
 )
 
 __all__ = ["run_threaded_master_slave"]
 
 _STOP = object()
+
+
+class _ThreadPool(WorkerPool):
+    """Daemon worker threads sharing one task queue."""
+
+    name = "threads"
+
+    def __init__(self, problem: Problem, size: int) -> None:
+        self.problem, self.size = problem, size
+        self.tasks: "queue.Queue" = queue.Queue()
+        self.results: "queue.Queue" = queue.Queue()
+        self.observed = {"tf": TallyMonitor()}
+        #: Task id each thread is evaluating (None while idle).
+        self.running: list[Optional[int]] = [None] * size
+        #: Threads counted out past a task deadline.
+        self.hung: set[int] = set()
+        self.threads = [threading.Thread(target=self._work, args=(w,), daemon=True,
+                                         name=f"borg-worker-{w}") for w in range(size)]
+
+    def _work(self, wid: int) -> None:
+        reseed = getattr(self.problem, "reseed_worker", None)
+        if callable(reseed):
+            reseed(wid, 0)
+        for task_id, X in iter(self.tasks.get, _STOP):
+            self.running[wid] = task_id
+            t0 = time.perf_counter()
+            reply = evaluate_task(self.problem, wid, task_id, X)
+            self.observed["tf"].record(time.perf_counter() - t0)
+            self.running[wid] = None
+            self.results.put(reply)
+
+    def start(self) -> None:
+        for t in self.threads:
+            t.start()
+
+    def live(self) -> list[int]:
+        # A counted-out thread may still come back, so the shared queue
+        # stays open; the re-dispatch budget ends a hopeless run.
+        return [ANY_WORKER]
+
+    def submit(self, wid: int, task_id: int, X: np.ndarray) -> None:
+        self.tasks.put((task_id, X))
+
+    def receive(self, timeout: float) -> Optional[tuple]:
+        try:
+            reply = self.results.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        self.hung.discard(reply[1])
+        return reply
+
+    def kill(self, wid: int, task_id: int) -> bool:
+        self.hung.update(w for w, t in enumerate(self.running) if t == task_id)
+        return False
+
+    def close(self) -> None:
+        for _ in self.threads:
+            self.tasks.put(_STOP)
+        for wid, t in enumerate(self.threads):
+            if wid not in self.hung:
+                t.join(timeout=10.0)
 
 
 def run_threaded_master_slave(
@@ -71,8 +126,8 @@ def run_threaded_master_slave(
     Borg on ``processors - 1`` worker threads.
 
     The master thread owns the engine exclusively; workers only
-    evaluate.  Shared state is limited to two queues plus a heartbeat
-    array, so no locks are needed around algorithm state.
+    evaluate.  Shared state is limited to two queues, so no locks are
+    needed around algorithm state.
 
     ``batch_size`` > 1 ships that many solutions per message; the worker
     evaluates the block with one vectorized ``evaluate_batch`` pass,
@@ -83,253 +138,10 @@ def run_threaded_master_slave(
     (respawn settings are ignored -- threads don't die; errors are
     caught and hangs are recovered by deadline re-dispatch).
     """
-    if processors < 2:
-        raise ValueError("need at least 2 processors (master + 1 worker)")
-    if max_nfe < 1:
-        raise ValueError("max_nfe must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if checkpoint_interval is not None and checkpoint_interval < 1:
-        raise ValueError("checkpoint_interval must be >= 1")
-    cfg = config or BorgConfig()
-    sup = supervisor or SupervisorConfig()
-    stats = FaultStats()
-    if resume is not None:
-        engine = restore_engine(problem, resume, config=config)
-        cfg = engine.config
-    else:
-        engine = BorgEngine(problem, cfg, rng=np.random.default_rng(seed))
-    engine.publisher = publisher
-    history = RunHistory(
-        snapshot_interval=snapshot_interval or cfg.snapshot_interval
-    )
-    ckpt_every = checkpoint_interval or cfg.snapshot_interval
-    last_checkpoint_nfe = engine.nfe
-    nworkers = processors - 1
-    tasks: "queue.Queue" = queue.Queue()
-    results: "queue.Queue" = queue.Queue()
-    worker_evals = np.zeros(nworkers, dtype=int)
-    #: Last instant each worker finished (or failed) a task -- the
-    #: thread-backend liveness probe (threads have no ``is_alive`` death
-    #: signal worth watching; a stale heartbeat plus a blown task
-    #: deadline identifies a hung worker).
-    heartbeats = [time.monotonic()] * nworkers
-    observed = {"tf": TallyMonitor()}
-    eval_lock = threading.Lock()
-    problem_is_timed = hasattr(problem, "real_delay") and hasattr(
-        problem, "sample_evaluation_time"
-    )
-    table = TaskTable()
-
-    def worker(wid: int) -> None:
-        reseed = getattr(problem, "reseed_worker", None)
-        if callable(reseed):
-            reseed(wid, 0)
-        while True:
-            item = tasks.get()
-            if item is _STOP:
-                return
-            task_id, X = item
-            t0 = time.perf_counter()
-            try:
-                # Raw batch kernels (no public evaluate_batch): the shared
-                # evaluation counter must be updated under the lock below.
-                if fastpath.enabled():
-                    F, C = problem._evaluate_batch(X)
-                else:
-                    F, C = problem._evaluate_batch_fallback(X)
-                if problem_is_timed and problem.real_delay:
-                    # The delay RNG is shared; sample under the lock, sleep
-                    # outside it so delays genuinely overlap.
-                    with eval_lock:
-                        delay = sum(
-                            problem.sample_evaluation_time()
-                            for _ in range(X.shape[0])
-                        )
-                    time.sleep(delay)
-                # Shared mutable state (evaluation counter) is guarded.
-                # Workers never touch the candidate Solution objects --
-                # the master assigns results on ingest, so a late reply
-                # from a hung worker whose task was re-dispatched cannot
-                # race with (or corrupt) an already-ingested solution.
-                with eval_lock:
-                    problem.evaluations += X.shape[0]
-                observed["tf"].record(time.perf_counter() - t0)
-                heartbeats[wid] = time.monotonic()
-                results.put(
-                    (
-                        MSG_OK,
-                        wid,
-                        task_id,
-                        np.asarray(F, dtype=float),
-                        None if C is None else np.asarray(C, dtype=float),
-                    )
-                )
-            except Exception as exc:  # structured per-task error reply
-                heartbeats[wid] = time.monotonic()
-                results.put(
-                    (MSG_ERR, wid, task_id, f"{type(exc).__name__}: {exc}")
-                )
-
-    threads = [
-        threading.Thread(target=worker, args=(w,), daemon=True, name=f"borg-worker-{w}")
-        for w in range(nworkers)
-    ]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-
-    def dispatch(count: int) -> int:
-        record = table.new([engine.next_candidate() for _ in range(count)])
-        record.mark_dispatched(-1, sup.task_timeout)
-        tasks.put(
-            (record.task_id, np.stack([c.variables for c in record.group]))
-        )
-        return count
-
-    def redispatch(record, why: str) -> None:
-        if record.dispatches >= sup.max_dispatches_per_task:
-            raise RuntimeError(
-                f"task {record.task_id} failed {record.dispatches} dispatches "
-                f"(last: {why}); giving up"
-            )
-        stats.tasks_redispatched += 1
-        if publisher is not None:
-            publisher.emit("redispatch", task=record.task_id, reason=why)
-        record.mark_dispatched(-1, sup.task_timeout)
-        tasks.put(
-            (record.task_id, np.stack([c.variables for c in record.group]))
-        )
-
-    def sweep_deadlines() -> None:
-        if sup.task_timeout is None:
-            return
-        now = time.monotonic()
-        for record in table.expired(now):
-            if record.deadline is None or now <= record.deadline:
-                continue
-            # The worker holding this task is hung (its heartbeat has
-            # not moved since dispatch); threads cannot be killed, so
-            # re-dispatch and let dedup drop any eventual late reply.
-            stats.failures_detected += 1
-            if publisher is not None:
-                publisher.emit(
-                    "worker-fault",
-                    task=record.task_id,
-                    reason="task deadline exceeded",
-                )
-            redispatch(record, "task deadline exceeded")
-
-    def maybe_checkpoint(force: bool = False) -> None:
-        nonlocal last_checkpoint_nfe
-        if checkpoint is None:
-            return
-        if not force and engine.nfe - last_checkpoint_nfe < ckpt_every:
-            return
-        in_flight = [c for r in table.records() for c in r.group]
-        save_checkpoint(
-            engine,
-            checkpoint,
-            extra_pending=in_flight,
-            meta={"backend": "threads", "max_nfe": max_nfe},
-        )
-        last_checkpoint_nfe = engine.nfe
-        stats.checkpoints_written += 1
-
-    def collect_one() -> int:
-        """Receive until one task is ingested; returns its group size."""
-        while True:
-            try:
-                reply = results.get(timeout=sup.poll_interval)
-            except queue.Empty:
-                sweep_deadlines()
-                continue
-            kind, wid, task_id = reply[0], reply[1], reply[2]
-            record = table.get(task_id)
-            if record is None:
-                stats.duplicate_results += 1
-                continue
-            if kind == MSG_ERR:
-                stats.worker_errors += 1
-                stats.results_quarantined += 1
-                if publisher is not None:
-                    publisher.emit(
-                        "worker-fault", worker=wid, reason=str(reply[3])
-                    )
-                redispatch(record, f"worker error: {reply[3]}")
-                continue
-            F, C = reply[3], reply[4]
-            if sup.validate:
-                reason = validate_reply(
-                    F, C, len(record.group), problem.nobjs, problem.nconstraints
-                )
-                if reason is not None:
-                    stats.results_quarantined += 1
-                    redispatch(record, f"invalid result: {reason}")
-                    continue
-            table.pop(task_id)
-            assign_results(record.group, F, C)
-            for solution in record.group:
-                engine.ingest(solution)
-            worker_evals[wid] += len(record.group)
-            history.maybe_record(
-                engine.nfe,
-                time.perf_counter() - start,
-                engine.archive.objectives,
-                engine.restarts,
-            )
-            maybe_checkpoint()
-            return len(record.group)
-
-    try:
-        if sync:
-            # Generational: batches of nworkers tasks, full barrier between.
-            while engine.nfe < max_nfe:
-                generation = min(nworkers * batch_size, max_nfe - engine.nfe)
-                issued = 0
-                while issued < generation:
-                    issued += dispatch(min(batch_size, generation - issued))
-                while table:
-                    collect_one()
-        else:
-            # Asynchronous steady state: refill as results return.
-            for _ in range(nworkers):
-                remaining = (
-                    max_nfe - engine.nfe - table.candidates_in_flight()
-                )
-                if remaining <= 0:
-                    break
-                dispatch(min(batch_size, remaining))
-            while engine.nfe < max_nfe:
-                collect_one()
-                remaining = (
-                    max_nfe - engine.nfe - table.candidates_in_flight()
-                )
-                if remaining > 0:
-                    dispatch(min(batch_size, remaining))
-    finally:
-        for _ in threads:
-            tasks.put(_STOP)
-        for t in threads:
-            t.join(timeout=10.0)
-
-    if checkpoint is not None and engine.nfe > last_checkpoint_nfe:
-        maybe_checkpoint(force=True)
-    elapsed = time.perf_counter() - start
-    history.maybe_record(
-        engine.nfe, elapsed, engine.archive.objectives, engine.restarts, force=True
-    )
-    history.total_nfe = engine.nfe
-    history.total_restarts = engine.restarts
-    history.elapsed = elapsed
-
-    return ParallelRunResult(
-        elapsed=elapsed,
-        nfe=engine.nfe,
-        processors=processors,
-        borg=engine.result(history),
-        history=history,
-        worker_evaluations=worker_evals,
-        observed=observed,
-        faults=stats,
+    return run_master_loop(
+        _ThreadPool(problem, processors - 1), problem, max_nfe,
+        config=config, seed=seed, snapshot_interval=snapshot_interval,
+        batch_size=batch_size, supervisor=supervisor, checkpoint=checkpoint,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        publisher=publisher, sync=sync,
     )

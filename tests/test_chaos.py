@@ -9,6 +9,8 @@ without hanging, with exact NFE accounting.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.parallel import (
     run_threaded_master_slave,
 )
 from repro.parallel.supervision import TaskTable, validate_reply
-from repro.problems import DTLZ2, ChaosError, FaultyProblem
+from repro.problems import DTLZ2, ChaosError, FaultyProblem, TimedProblem
 from repro.stats import constant_timing
 
 FAST = SupervisorConfig(poll_interval=0.02)
@@ -244,6 +246,31 @@ class TestThreadChaos:
         )
         assert res.nfe == 150
         assert res.failures_detected >= 1
+
+    def test_deadline_enforced_while_replies_flow(self, small_config):
+        """The deadline sweep runs on every loop iteration, so healthy
+        workers' replies cannot postpone it; the clock stops and the run
+        returns without waiting for the hung thread."""
+        events = []
+
+        class Recorder:
+            def emit(self, kind, **data):
+                events.append((time.monotonic(), kind))
+
+        inner = TimedProblem(DTLZ2(nobjs=2), 0.01, real_delay=True)
+        prob = FaultyProblem(inner, hang_rate=1.0, hang_delay=3.0,
+                             faulty_workers={0})
+        sup = SupervisorConfig(task_timeout=0.2, poll_interval=0.05)
+        start = time.monotonic()
+        res = run_threaded_master_slave(
+            prob, 4, 300, config=small_config, seed=1, supervisor=sup,
+            publisher=Recorder(),
+        )
+        wall = time.monotonic() - start
+        assert res.nfe == 300
+        first = min(t for t, kind in events if kind == "redispatch")
+        assert first - start < 1.0
+        assert res.elapsed <= wall < 3.0
 
     def test_sync_mode_with_errors(self, small_config):
         prob = FaultyProblem(DTLZ2(nobjs=2), crash_rate=0.1,
