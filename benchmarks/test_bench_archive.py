@@ -1,8 +1,8 @@
 """Benchmark: the box-grid indexed epsilon-archive vs the full scan.
 
 Sweeps archive sizes |A| in {1e2, 1e3, 1e4} crossed with M in {2, 3, 5}
-objectives and reports ns/insert for the reference (full-scan) and
-indexed (``repro.fastpath`` on) add paths on a mixed offer stream --
+objectives and reports ns/insert for the full-scan oracle (``tests/reference``) and
+indexed (production) add paths on a mixed offer stream --
 deeply dominated rejects, near-front contests, and improving points
 that evict.  A second experiment drives a million-insert stream into a
 growing archive and checks that per-insert cost grows sublinearly in
@@ -20,8 +20,8 @@ import time
 
 import numpy as np
 
-from repro import fastpath
 from repro.core import EpsilonBoxArchive, Solution
+from tests.reference import as_full_scan
 
 from .conftest import BenchRecorder
 
@@ -74,13 +74,8 @@ def _build_archive(m: int, size: int) -> EpsilonBoxArchive:
     rng = np.random.default_rng(1)
     archive = EpsilonBoxArchive(eps)
     n_build = min(12 * size, 60_000)
-    was = fastpath.enabled()
-    fastpath.set_enabled(True)
-    try:
-        for p in _front_points(rng, n_build, m):
-            archive.add(Solution(np.zeros(2), objectives=p))
-    finally:
-        fastpath.set_enabled(was)
+    for p in _front_points(rng, n_build, m):
+        archive.add(Solution(np.zeros(2), objectives=p))
     return archive
 
 
@@ -108,17 +103,12 @@ def _time_inserts(base: EpsilonBoxArchive, points, indexed: bool, repeats: int):
     for _ in range(repeats):
         archive = copy.deepcopy(base)
         if not indexed:
-            archive._index = None
+            as_full_scan(archive)
         solutions = [Solution(np.zeros(2), objectives=p) for p in points]
-        was = fastpath.enabled()
-        fastpath.set_enabled(indexed)
-        try:
-            t0 = time.perf_counter()
-            for s in solutions:
-                archive.add(s)
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            fastpath.set_enabled(was)
+        t0 = time.perf_counter()
+        for s in solutions:
+            archive.add(s)
+        best = min(best, time.perf_counter() - t0)
         final = archive
     return best / len(points) * 1e9, final
 
@@ -179,25 +169,20 @@ def test_bench_growth_is_sublinear():
     rng = np.random.default_rng(3)
     archive = EpsilonBoxArchive(eps)
     samples = []
-    was = fastpath.enabled()
-    fastpath.set_enabled(True)
-    try:
-        for start in range(0, n_total, chunk):
-            points = _front_points(rng, chunk, m)
-            solutions = [Solution(np.zeros(2), objectives=p) for p in points]
-            t0 = time.perf_counter()
-            for s in solutions:
-                archive.add(s)
-            dt = time.perf_counter() - t0
-            samples.append(
-                {
-                    "inserts": start + chunk,
-                    "archive_size": len(archive),
-                    "ns_per_insert": dt / chunk * 1e9,
-                }
-            )
-    finally:
-        fastpath.set_enabled(was)
+    for start in range(0, n_total, chunk):
+        points = _front_points(rng, chunk, m)
+        solutions = [Solution(np.zeros(2), objectives=p) for p in points]
+        t0 = time.perf_counter()
+        for s in solutions:
+            archive.add(s)
+        dt = time.perf_counter() - t0
+        samples.append(
+            {
+                "inserts": start + chunk,
+                "archive_size": len(archive),
+                "ns_per_insert": dt / chunk * 1e9,
+            }
+        )
 
     # Skip the tiny-archive warmup, then fit cost ~ |A|^alpha.
     early, late = samples[2], samples[-1]

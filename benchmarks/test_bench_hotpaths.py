@@ -4,7 +4,7 @@ Times the three fast paths the evaluation/indicator vectorization
 introduced -- batched problem evaluation, the block-broadcast
 ``nondominated_mask``, and the cached hypervolume engine on a
 Fig. 5-style trajectory -- against the scalar reference implementations
-(the code paths ``REPRO_FASTPATH=0`` restores), asserts the speedup
+frozen as test oracles in ``tests/reference``, asserts the speedup
 floors, and records the measurements in ``BENCH_hotpaths.json`` at the
 repository root so regressions are visible in CI artifacts.
 
@@ -18,11 +18,17 @@ import time
 
 import numpy as np
 
-from repro import fastpath
+import pytest
+
 from repro.core import BorgConfig, BorgMOEA
-from repro.core.dominance import _nondominated_mask_reference, nondominated_mask
+from repro.core.dominance import nondominated_mask
 from repro.indicators import Hypervolume, hypervolume_trajectory
 from repro.problems import DTLZ2, UF11
+from tests.reference import (
+    evaluate_batch_fallback,
+    nondominated_mask_reference,
+    use_reference_paths,
+)
 
 from .conftest import BenchRecorder
 
@@ -52,11 +58,11 @@ def _batch_eval_case(problem, n):
     )
     t_batch = _best_of(lambda: problem._evaluate_batch(X))
     t_scalar = _best_of(
-        lambda: problem._evaluate_batch_fallback(X),
+        lambda: evaluate_batch_fallback(problem, X),
         repeats=1 if QUICK else 2,
     )
     F_fast, _ = problem._evaluate_batch(X)
-    F_slow, _ = problem._evaluate_batch_fallback(X)
+    F_slow, _ = evaluate_batch_fallback(problem, X)
     np.testing.assert_array_equal(F_fast, F_slow)
     return {
         "points": n,
@@ -86,9 +92,9 @@ def test_bench_nondominated_mask():
     n, m = (800, 5) if QUICK else (2_000, 5)
     F = np.random.default_rng(7).random((n, m))
     t_fast = _best_of(lambda: nondominated_mask(F))
-    t_ref = _best_of(lambda: _nondominated_mask_reference(F))
+    t_ref = _best_of(lambda: nondominated_mask_reference(F))
     np.testing.assert_array_equal(
-        nondominated_mask(F), _nondominated_mask_reference(F)
+        nondominated_mask(F), nondominated_mask_reference(F)
     )
     payload = {
         "n": n,
@@ -118,8 +124,10 @@ def test_bench_hypervolume_trajectory():
         return hypervolume_trajectory(history, metric, use_nfe=True)
 
     def reference_pass():
-        with fastpath.disabled():
-            metric = Hypervolume(2.0, method="exact")
+        # The recursive WFG oracle, uncached.
+        with pytest.MonkeyPatch.context() as patch:
+            use_reference_paths(patch)
+            metric = Hypervolume(2.0, method="exact", cache_size=0)
             return hypervolume_trajectory(history, metric, use_nfe=True)
 
     t_fast = _best_of(fast_pass)

@@ -118,7 +118,7 @@ def test_bench_simulation_model_throughput(benchmark):
 def test_bench_uf11_evaluation(benchmark):
     problem = UF11()
     x = np.random.default_rng(0).random(30)
-    benchmark(problem._evaluate, x)
+    benchmark(problem.evaluate, Solution(x))
 
 
 def test_bench_queueing_model(benchmark):
@@ -143,7 +143,7 @@ def test_bench_wfg9_evaluation(benchmark):
     z = problem.lower + np.random.default_rng(0).random(problem.nvars) * (
         problem.upper - problem.lower
     )
-    benchmark(problem._evaluate, z)
+    benchmark(problem.evaluate, Solution(z))
 
 
 def test_bench_nsga2_generation(benchmark):

@@ -8,27 +8,21 @@ contribution counts that drive auto-adaptive operator selection.
 Implementation note: the archive is consulted once per function
 evaluation, so ``add`` is the master's serial hot path and directly
 sets the throughput ceiling T_M behind the paper's master-saturation
-bound (Eq. 3).  Two implementations coexist behind ``repro.fastpath``:
+bound (Eq. 3).  Each offer consults a :class:`_BoxGridIndex`: a hash of
+occupied epsilon-boxes gives O(1) same-box hits, and an
+:class:`~repro.core.dominance.IncrementalFront` over the box lattice
+prunes dominance checks to the boxes that can possibly dominate (or be
+dominated by) the candidate, so steady-state offers are sublinear in
+|A|.  The index is derived state: it is rebuilt deterministically from
+the members on first use (including after checkpoint restore), and its
+decisions -- membership, epsilon-progress, and eviction sets -- are
+bit-identical to a full scan of the front (``tests/test_archive_index.py``
+fuzzes the equivalence against the full-scan oracle).
 
-* the **reference path** (``REPRO_FASTPATH=0``) compares each offer
-  against the whole front with a handful of vectorised comparisons over
-  NumPy mirrors of the members' box indices and objectives -- O(|A|)
-  per offer;
-* the **indexed path** (default) consults a :class:`_BoxGridIndex`: a
-  hash of occupied epsilon-boxes gives O(1) same-box hits, and an
-  :class:`~repro.core.dominance.IncrementalFront` over the box lattice
-  prunes dominance checks to the boxes that can possibly dominate (or
-  be dominated by) the candidate, so steady-state offers are sublinear
-  in |A|.  The index is derived state: it is rebuilt deterministically
-  from the members on first use (including after checkpoint restore or
-  a fastpath toggle), and both paths produce bit-identical decisions --
-  membership, epsilon-progress, and eviction sets
-  (``tests/test_archive_index.py`` fuzzes the equivalence).
-
-In both modes the box-index and objective matrices are mirrored in
-amortized doubling buffers -- ``_boxes``/``_objectives`` are views of
-the filled prefix -- so an ``add`` appends in O(1) amortized, and
-membership tests run against a uid set in O(1).
+The box-index and objective matrices are mirrored in amortized
+doubling buffers -- ``_boxes``/``_objectives`` are views of the filled
+prefix -- so an ``add`` appends in O(1) amortized, and membership tests
+run against a uid set in O(1).
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .. import fastpath
 from .dominance import IncrementalFront, epsilon_boxes, nondominated_mask
 from .solution import Solution
 
@@ -154,8 +147,8 @@ class EpsilonBoxArchive:
         self._uid_buffer = np.empty(16, dtype=np.int64)
         self._size = 0
         self._uids: set = set()
-        #: Box-grid index accelerating ``add`` (fastpath only; derived
-        #: state, rebuilt lazily from the members whenever absent).
+        #: Box-grid index accelerating ``add`` (derived state, rebuilt
+        #: lazily from the members whenever absent).
         self._index: Optional[_BoxGridIndex] = None
         #: Cumulative count of epsilon-progress improvements.
         self.improvements = 0
@@ -254,10 +247,7 @@ class EpsilonBoxArchive:
             self.improvements += 1
             return AddResult(accepted=True, improvement=True)
 
-        if fastpath.enabled():
-            return self._add_indexed(solution, box, eps)
-        self._index = None
-        return self._add_reference(solution, box, eps)
+        return self._contest(solution, box, eps)
 
     def add_all(self, solutions: Sequence[Solution]) -> int:
         """Bulk offer: fold a whole batch of solutions into the archive.
@@ -328,44 +318,13 @@ class EpsilonBoxArchive:
                 accepted += 1
         return accepted
 
-    def _add_reference(
+    def _contest(
         self, solution: Solution, box: np.ndarray, eps: np.ndarray
     ) -> AddResult:
-        """Full-scan update: vectorised comparison against every member
-        (the ``REPRO_FASTPATH=0`` parity reference)."""
-        boxes = self._boxes
-        le = boxes <= box
-        ge = boxes >= box
-        all_le = le.all(axis=1)
-        all_ge = ge.all(axis=1)
-        same = all_le & all_ge
-        dominates_new = all_le & ~same      # existing box-dominates new
-        dominated_by_new = all_ge & ~same   # new box-dominates existing
+        """Settle a same-tier offer to a non-empty archive through the
+        box-grid index: O(1) same-box hit, pruned dominance scans.
 
-        if np.any(dominates_new):
-            return AddResult(accepted=False)
-
-        same_idx = np.flatnonzero(same)
-        if same_idx.size:
-            return self._same_box_contest(
-                solution, self.solutions[int(same_idx[0])], box, eps
-            )
-
-        removed = []
-        evict = np.flatnonzero(dominated_by_new)
-        if evict.size:
-            removed = [self.solutions[i] for i in evict]
-            self._remove_indices(list(evict))
-        self._append(solution)
-        self.improvements += 1
-        return AddResult(accepted=True, improvement=True, removed=removed)
-
-    def _add_indexed(
-        self, solution: Solution, box: np.ndarray, eps: np.ndarray
-    ) -> AddResult:
-        """Box-grid update: O(1) same-box hit, pruned dominance scans.
-
-        Decision-equivalent to :meth:`_add_reference`: members are
+        Decision-equivalent to a full scan of the members: members are
         mutually non-box-dominated, so a same-box incumbent excludes
         both dominators and victims, and otherwise the incremental
         front's sum-bounded scans see exactly the members the full scan

@@ -258,10 +258,10 @@ def load_checkpoint(path: str | os.PathLike) -> dict:
 def _restore_archive(spec: dict) -> EpsilonBoxArchive:
     """Rebuild the archive from its packed members.
 
-    The fastpath box-grid index is derived state and is deliberately
-    not serialized: it rebuilds deterministically from the members on
-    the first indexed ``add`` after resume, so resumed runs make
-    bit-identical archive decisions in either fastpath mode.
+    The box-grid index is derived state and is deliberately not
+    serialized: it rebuilds deterministically from the members on the
+    first ``add`` after resume, so resumed runs make bit-identical
+    archive decisions.
     """
     archive = EpsilonBoxArchive(spec["epsilons"])
     solutions = [_unpack_solution(d) for d in spec["solutions"]]

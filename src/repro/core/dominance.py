@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .. import fastpath
 from .solution import Solution
 
 __all__ = [
@@ -89,32 +88,6 @@ def epsilon_box_compare(
     return 0
 
 
-def _nondominated_mask_reference(F: np.ndarray) -> np.ndarray:
-    """Row-at-a-time O(n^2) reference used to validate the fast paths
-    (and as the ``REPRO_FASTPATH=0`` implementation)."""
-    n = F.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        # Rows that weakly dominate row i in every objective...
-        le = np.all(F <= F[i], axis=1)
-        # ...and strictly in at least one.
-        lt = np.any(F < F[i], axis=1)
-        dominators = le & lt
-        dominators[i] = False
-        if np.any(dominators & mask):
-            mask[i] = False
-            continue
-        # Row i knocks out everything it dominates.
-        ge = np.all(F >= F[i], axis=1)
-        gt = np.any(F > F[i], axis=1)
-        dominated = ge & gt
-        mask[dominated] = False
-        mask[i] = True
-    return mask
-
-
 def _nondominated_mask_2d(F: np.ndarray) -> np.ndarray:
     """Sort-based sweep for two objectives, O(n log n).
 
@@ -171,17 +144,15 @@ def _nondominated_mask_blocked(F: np.ndarray, block: int = 64) -> np.ndarray:
 def nondominated_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of Pareto-nondominated rows of an ``(n, m)`` matrix.
 
-    Dispatches on shape: an O(n log n) sort-based sweep for two
-    objectives, a block-wise broadcast filter otherwise.  Both return
-    exactly the same mask as the row-at-a-time reference (which
-    ``REPRO_FASTPATH=0`` restores): the set of rows with no dominator.
+    Dispatches on shape: a minimum test for one objective, an
+    O(n log n) sort-based sweep for two, a block-wise broadcast filter
+    otherwise.  Each returns the set of rows with no dominator, exactly
+    the mask of the row-at-a-time reference the tests keep as oracle.
     """
     F = np.asarray(objectives, dtype=float)
     n = F.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
-    if not fastpath.enabled():
-        return _nondominated_mask_reference(F)
     if F.shape[1] == 1:
         return F[:, 0] == F[:, 0].min()
     if F.shape[1] == 2:

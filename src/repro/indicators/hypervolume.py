@@ -7,10 +7,9 @@ floating-point accuracy):
 * exact 3-D incremental-staircase sweep (O(n log n));
 * exact WFG exclusive-hypervolume algorithm (While et al. 2012) for any
   dimension -- the algorithm of choice for the 5-objective archives this
-  study produces (hundreds of points).  The default implementation is an
-  iterative rewrite of the recursion with an explicit frame stack,
-  arithmetically identical to the reference recursion (which
-  ``REPRO_FASTPATH=0`` restores);
+  study produces (hundreds of points), as an iterative rewrite of the
+  recursion with an explicit frame stack, arithmetically identical to
+  the recursion the tests keep as oracle;
 * a seeded Monte Carlo estimator for very large sets or when thousands
   of hypervolume evaluations are needed (the speedup-trajectory
   experiments), with error ~ 1/sqrt(samples); samples are drawn and
@@ -34,24 +33,22 @@ from typing import Optional
 
 import numpy as np
 
-from .. import fastpath
 from ..core.dominance import nondominated_filter
 
 __all__ = ["Hypervolume", "hypervolume", "monte_carlo_hypervolume"]
 
 
 def _clean_front(front: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Drop points that do not dominate the reference point, then keep
-    only the nondominated ones.  On the fast path exact duplicate rows
-    (which contribute no volume) are removed first, shrinking the WFG
-    limit sets."""
+    """Drop points that do not dominate the reference point and exact
+    duplicate rows (which contribute no volume, and would only grow the
+    WFG limit sets), then keep only the nondominated ones."""
     F = np.atleast_2d(np.asarray(front, dtype=float))
     if F.size == 0:
         return np.empty((0, ref.size))
     F = F[np.all(F < ref, axis=1)]
     if F.shape[0] == 0:
         return F
-    if fastpath.enabled() and F.shape[0] > 1:
+    if F.shape[0] > 1:
         F = np.unique(F, axis=0)
     return nondominated_filter(F)
 
@@ -120,40 +117,17 @@ def _limit_set(p: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.maximum(rest, p)
 
 
-def _wfg(front: np.ndarray, ref: np.ndarray) -> float:
-    """WFG exclusive-hypervolume recursion (front already clean).
-
-    Reference implementation; :func:`_wfg_iterative` reproduces its
-    arithmetic exactly and is used on the fast path.
-    """
-    n = front.shape[0]
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(np.prod(ref - front[0]))
-    # Sorting by the first objective improves limit-set degeneracy.
-    order = np.argsort(front[:, 0])[::-1]
-    F = front[order]
-    hv = 0.0
-    for i in range(F.shape[0]):
-        p = F[i]
-        incl = float(np.prod(ref - p))
-        rest = F[i + 1 :]
-        if rest.shape[0]:
-            limited = nondominated_filter(_limit_set(p, rest))
-            hv += incl - _wfg(limited, ref)
-        else:
-            hv += incl
-    return hv
-
-
 def _wfg_iterative(front: np.ndarray, ref: np.ndarray) -> float:
-    """Iterative WFG with an explicit frame stack.
+    """WFG exclusive-hypervolume algorithm (front already clean), with
+    an explicit frame stack in place of recursion.
 
-    Performs exactly the same floating-point operations in exactly the
-    same order as :func:`_wfg`, so the two agree bitwise; the explicit
-    stack removes Python call overhead and any recursion-depth limit.
-    Frames are ``[F_sorted, i, acc, pending_incl]``.
+    Each frame sums, over its front sorted by descending first
+    objective, every point's inclusive volume minus the hypervolume of
+    the nondominated limit set of the points after it.  The operations
+    and their order are exactly those of the recursive formulation, so
+    the two agree bitwise; the explicit stack removes Python call
+    overhead and any recursion-depth limit.  Frames are
+    ``[F_sorted, i, acc, pending_incl]``.
     """
     n = front.shape[0]
     if n == 0:
@@ -215,8 +189,6 @@ def hypervolume(front: np.ndarray, ref: np.ndarray | float) -> float:
         return float(r[0] - F[:, 0].min())
     if m == 2:
         return _hv_2d(F, r)
-    if not fastpath.enabled():
-        return _wfg(F, r)
     if m == 3:
         return _hv_3d(F, r)
     return _wfg_iterative(F, r)
@@ -332,7 +304,7 @@ class Hypervolume:
                 method = "exact"
             else:
                 method = "monte-carlo"
-        use_cache = self.cache_size > 0 and fastpath.enabled()
+        use_cache = self.cache_size > 0
         if use_cache:
             key = self._key(np.ascontiguousarray(F), method)
             cached = self._cache.get(key)

@@ -13,16 +13,15 @@ contention: when results arrive faster than the master can turn them
 around, workers queue, which is exactly the regime (small TF, large P)
 where Table II shows the analytical model failing.
 
-Two implementations coexist behind the :mod:`repro.fastpath` toggle:
-
-* the discrete-event **reference** (:func:`simulate_async_reference` /
-  :func:`simulate_sync_reference`), kept as the executable
-  specification;
-* the **vectorized kernel** (:mod:`repro.models.fastsim`), a sequential
-  recurrence over pre-sampled NumPy blocks that produces the identical
-  :class:`SimulationOutcome` on a shared seed (both paths draw through
-  :class:`~repro.stats.timing.TimingSampler`, so per-component streams
-  line up no matter how draws interleave in event time).
+:func:`simulate_async`, :func:`simulate_sync` and
+:func:`simulate_islands` run the **vectorized kernels**
+(:mod:`repro.models.fastsim`): sequential recurrences over pre-sampled
+NumPy blocks.  The discrete-event model itself stays here as the
+executable specification (:func:`simulate_async_reference`,
+:func:`simulate_sync_reference`, :func:`simulate_islands_reference`);
+on a shared seed it produces the identical outcome, because both draw
+through :class:`~repro.stats.timing.TimingSampler`, so per-component
+streams line up no matter how draws interleave in event time.
 
 The module also provides steady-state extrapolation so Ranger-scale
 runs (N = 100,000, P = 16,384) are predicted from a truncated
@@ -36,7 +35,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .. import fastpath
 from ..simkit import Environment, Resource
 from ..stats.timing import TimingModel, TimingSampler
 
@@ -140,14 +138,12 @@ def simulate_async(
     """Simulate the asynchronous master-slave pipeline for ``max_nfe``
     evaluations; no algorithm state, only sampled holds.
 
-    Dispatches to the vectorized kernel when the fast path is enabled
-    (the default); ``REPRO_FASTPATH=0`` restores the simkit reference.
+    Runs the vectorized kernel; :func:`simulate_async_reference` is the
+    discrete-event specification it reproduces.
     """
-    if fastpath.enabled():
-        from .fastsim import simulate_async_fast
+    from .fastsim import simulate_async_fast
 
-        return simulate_async_fast(processors, max_nfe, timing, seed=seed)
-    return simulate_async_reference(processors, max_nfe, timing, seed=seed)
+    return simulate_async_fast(processors, max_nfe, timing, seed=seed)
 
 
 def simulate_sync(
@@ -159,13 +155,12 @@ def simulate_sync(
     """Simulate the synchronous (generational) pipeline: dispatch P-1,
     master evaluates one itself, barrier, P sequential TA holds.
 
-    Dispatches like :func:`simulate_async`.
+    Runs the vectorized kernel; :func:`simulate_sync_reference` is the
+    discrete-event specification it reproduces.
     """
-    if fastpath.enabled():
-        from .fastsim import simulate_sync_fast
+    from .fastsim import simulate_sync_fast
 
-        return simulate_sync_fast(processors, max_nfe, timing, seed=seed)
-    return simulate_sync_reference(processors, max_nfe, timing, seed=seed)
+    return simulate_sync_fast(processors, max_nfe, timing, seed=seed)
 
 
 def simulate_islands(
@@ -183,26 +178,14 @@ def simulate_islands(
     master-slave instance, exchanging archive members at every global
     epoch ``T_k = k * migration_interval`` over the given topology.
 
-    Dispatches to the multi-master fastsim kernel when the fast path is
-    enabled; ``REPRO_FASTPATH=0`` restores the simkit reference (which
-    always simulates every island -- ``max_sim_islands`` is a kernel
-    optimisation and is ignored on the reference path).
+    Runs the multi-master fastsim kernel;
+    :func:`simulate_islands_reference` is the discrete-event
+    specification it reproduces (it always simulates every island --
+    ``max_sim_islands`` is a kernel optimisation).
     """
-    if fastpath.enabled():
-        from .fastsim import simulate_islands_fast
+    from .fastsim import simulate_islands_fast
 
-        return simulate_islands_fast(
-            islands,
-            processors_per_island,
-            max_nfe_per_island,
-            timing,
-            migration_interval=migration_interval,
-            topology=topology,
-            migrants=migrants,
-            seed=seed,
-            max_sim_islands=max_sim_islands,
-        )
-    return simulate_islands_reference(
+    return simulate_islands_fast(
         islands,
         processors_per_island,
         max_nfe_per_island,
@@ -211,6 +194,7 @@ def simulate_islands(
         topology=topology,
         migrants=migrants,
         seed=seed,
+        max_sim_islands=max_sim_islands,
     )
 
 
@@ -518,8 +502,8 @@ def predict_async_time(
 
     Simulates ``sim_nfe`` evaluations (default: enough for every worker
     to cycle ~8 times, at least 2,000) and extrapolates at the
-    steady-state throughput.  Routed through the vectorized kernel via
-    :func:`simulate_async` whenever the fast path is enabled.
+    steady-state throughput, through the vectorized kernel of
+    :func:`simulate_async`.
     """
     budget = sim_nfe or max(2000, 8 * (processors - 1))
     outcome = simulate_async(processors, min(nfe, budget), timing, seed=seed)
@@ -562,7 +546,7 @@ def predict_islands_time(
     horizon so the simulated window sees the same number of exchanges
     per run (and hence the same relative migration overhead) as the
     full-length default would.  ``max_sim_islands`` caps how many
-    islands are simulated (fast path only); with it, a P = 10^6
+    islands are simulated; with it, a P = 10^6
     allocation is predicted in milliseconds.
     """
     from .fastsim import _expected_max

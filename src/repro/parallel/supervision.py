@@ -38,7 +38,6 @@ from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .. import fastpath
 from ..core.borg import BorgConfig, BorgEngine
 from ..core.checkpoint import restore_engine, save_checkpoint
 from ..core.events import RunHistory
@@ -340,10 +339,7 @@ def evaluate_task(problem: Problem, wid: int, task_id: int, X) -> tuple:
     corrupt an ingested one."""
     try:
         X = np.asarray(X, dtype=float)
-        if fastpath.enabled():
-            F, C = problem._evaluate_batch(X)
-        else:
-            F, C = problem._evaluate_batch_fallback(X)
+        F, C = problem._evaluate_batch(X)
         if getattr(problem, "real_delay", False):
             with _DELAY_LOCK:
                 delay = sum(problem.sample_evaluation_time() for _ in X)

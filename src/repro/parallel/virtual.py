@@ -45,31 +45,90 @@ __all__ = ["run_async_master_slave", "run_sync_master_slave"]
 _TIMING_SEED_OFFSET = 0x5EED
 
 
-def _setup(
-    problem: Problem,
-    processors: int,
-    timing: TimingModel,
-    config: Optional[BorgConfig],
-    seed: Optional[int],
-    machine: Optional[MachineSpec],
-    snapshot_interval: Optional[int],
-    engine: Optional[BorgEngine] = None,
-):
-    if processors < 2:
-        raise ValueError("need at least 2 processors (master + 1 worker)")
-    if machine is not None:
-        machine.validate_processors(processors)
-    cfg = (engine.config if engine is not None else config) or BorgConfig()
-    if engine is None:
-        engine = BorgEngine(problem, cfg, rng=np.random.default_rng(seed))
-    trng = np.random.default_rng(
-        None if seed is None else seed + _TIMING_SEED_OFFSET
-    )
-    history = RunHistory(
-        snapshot_interval=snapshot_interval or cfg.snapshot_interval
-    )
-    observed = {"ta": TallyMonitor(), "tc": TallyMonitor(), "tf": TallyMonitor()}
-    return engine, trng, history, observed
+class _VirtualRun:
+    """What both disciplines share: the engine, the history, the simkit
+    environment with its single-capacity master, the timing stream and
+    the observed (TA, TC, TF) tallies.  :meth:`hold` is the sampled
+    timeout every process yields; :meth:`finish` closes the run out."""
+
+    def __init__(
+        self,
+        problem: Problem,
+        processors: int,
+        timing: TimingModel,
+        config: Optional[BorgConfig],
+        seed: Optional[int],
+        machine: Optional[MachineSpec],
+        snapshot_interval: Optional[int],
+        engine: Optional[BorgEngine],
+        collect_trace: bool,
+    ) -> None:
+        if processors < 2:
+            raise ValueError("need at least 2 processors (master + 1 worker)")
+        if machine is not None:
+            machine.validate_processors(processors)
+        cfg = (engine.config if engine is not None else config) or BorgConfig()
+        if engine is None:
+            engine = BorgEngine(problem, cfg, rng=np.random.default_rng(seed))
+        self.engine = engine
+        self.processors = processors
+        self.timing = timing
+        self.trng = np.random.default_rng(
+            None if seed is None else seed + _TIMING_SEED_OFFSET
+        )
+        self.history = RunHistory(
+            snapshot_interval=snapshot_interval or cfg.snapshot_interval
+        )
+        self.observed = {
+            "ta": TallyMonitor(), "tc": TallyMonitor(), "tf": TallyMonitor()
+        }
+        self.env = Environment()
+        self.master = Resource(self.env, capacity=1)
+        self.worker_evals = np.zeros(processors - 1, dtype=int)
+        self.trace = Timeline() if collect_trace else None
+
+    def hold(self, kind: str, actor: str, scale: float = 1.0):
+        """Timeout of one sampled ``kind`` duration (times ``scale``),
+        tallied unscaled and recorded into the trace."""
+        value = getattr(self.timing, f"sample_{kind}")(self.trng)
+        self.observed[kind].record(value)
+        dt = value * scale
+        start = self.env.now
+        timeout = self.env.timeout(dt)
+        if self.trace is not None:
+            self.trace.record(actor, start, start + dt, kind)
+        return timeout
+
+    def record(self) -> None:
+        """Offer the current archive to the history at the virtual now."""
+        engine = self.engine
+        self.history.maybe_record(
+            engine.nfe, self.env.now, engine.archive.objectives, engine.restarts
+        )
+
+    def finish(self, elapsed: float) -> ParallelRunResult:
+        """Force the final history record and assemble the result."""
+        engine, history, master = self.engine, self.history, self.master
+        history.maybe_record(
+            engine.nfe, elapsed, engine.archive.objectives, engine.restarts,
+            force=True,
+        )
+        history.total_nfe = engine.nfe
+        history.total_restarts = engine.restarts
+        history.elapsed = elapsed
+        return ParallelRunResult(
+            elapsed=float(elapsed),
+            nfe=engine.nfe,
+            processors=self.processors,
+            borg=engine.result(history),
+            history=history,
+            worker_evaluations=self.worker_evals,
+            master_busy=master.busy_time,
+            master_mean_wait=master.mean_wait(),
+            master_max_queue=master.max_queue_length,
+            observed=self.observed,
+            trace=self.trace,
+        )
 
 
 def run_async_master_slave(
@@ -119,30 +178,12 @@ def run_async_master_slave(
             )
         if np.any(worker_speeds <= 0):
             raise ValueError("worker speeds must be positive")
-    engine, trng, history, observed = _setup(
+    run = _VirtualRun(
         problem, processors, timing, config, seed, machine,
-        snapshot_interval, engine=engine,
+        snapshot_interval, engine, collect_trace,
     )
-    env = Environment()
-    master = Resource(env, capacity=1)
-    nworkers = processors - 1
-    worker_evals = np.zeros(nworkers, dtype=int)
-    trace = Timeline() if collect_trace else None
+    engine, env, master, hold = run.engine, run.env, run.master, run.hold
     done = env.event()
-
-    def sample(kind: str) -> float:
-        value = getattr(timing, f"sample_{kind}")(trng)
-        observed[kind].record(value)
-        return value
-
-    def hold(kind: str, actor: str, scale: float = 1.0):
-        """Timeout of a sampled duration, recorded into the trace."""
-        dt = sample(kind) * scale
-        start = env.now
-        timeout = env.timeout(dt)
-        if trace is not None:
-            trace.record(actor, start, start + dt, kind if kind != "tf" else "tf")
-        return timeout
 
     def worker(env: Environment, wid: int):
         name = f"worker {wid + 1}"
@@ -171,43 +212,17 @@ def run_async_master_slave(
                 for candidate in batch:
                     yield hold("ta", "master")   # ingest + generate next
                     engine.ingest(candidate)
-                    worker_evals[wid] += 1
-                    history.maybe_record(
-                        engine.nfe,
-                        env.now,
-                        engine.archive.objectives,
-                        engine.restarts,
-                    )
+                    run.worker_evals[wid] += 1
+                    run.record()
                     if engine.nfe >= max_nfe:
                         done.succeed(env.now)
                         return
                 batch = [engine.next_candidate() for _ in range(batch_size)]
                 yield hold("tc", "master")   # master -> worker dispatch
 
-    for wid in range(nworkers):
+    for wid in range(processors - 1):
         env.process(worker(env, wid), name=f"worker-{wid}")
-    elapsed = env.run(until=done)
-
-    history.maybe_record(
-        engine.nfe, elapsed, engine.archive.objectives, engine.restarts, force=True
-    )
-    history.total_nfe = engine.nfe
-    history.total_restarts = engine.restarts
-    history.elapsed = elapsed
-
-    return ParallelRunResult(
-        elapsed=float(elapsed),
-        nfe=engine.nfe,
-        processors=processors,
-        borg=engine.result(history),
-        history=history,
-        worker_evaluations=worker_evals,
-        master_busy=master.busy_time,
-        master_mean_wait=master.mean_wait(),
-        master_max_queue=master.max_queue_length,
-        observed=observed,
-        trace=trace,
-    )
+    return run.finish(env.run(until=done))
 
 
 def run_sync_master_slave(
@@ -232,35 +247,19 @@ def run_sync_master_slave(
     """
     if max_nfe < 1:
         raise ValueError("max_nfe must be >= 1")
-    engine, trng, history, observed = _setup(
+    run = _VirtualRun(
         problem, processors, timing, config, seed, machine,
-        snapshot_interval, engine=engine,
+        snapshot_interval, engine, collect_trace,
     )
-    env = Environment()
-    master = Resource(env, capacity=1)
+    engine, env, master, hold = run.engine, run.env, run.master, run.hold
     nworkers = processors - 1
-    worker_evals = np.zeros(nworkers, dtype=int)
-    trace = Timeline() if collect_trace else None
-
-    def sample(kind: str) -> float:
-        value = getattr(timing, f"sample_{kind}")(trng)
-        observed[kind].record(value)
-        return value
-
-    def hold(kind: str, actor: str):
-        dt = sample(kind)
-        start = env.now
-        timeout = env.timeout(dt)
-        if trace is not None:
-            trace.record(actor, start, start + dt, kind)
-        return timeout
 
     def worker_generation(env: Environment, wid: int, candidate, done_ev):
         yield hold("tf", f"worker {wid + 1}")
         with master.request() as req:
             yield req
             yield hold("tc", "master")   # result return
-        worker_evals[wid] += 1
+        run.worker_evals[wid] += 1
         done_ev.succeed(candidate)
 
     def master_proc(env: Environment):
@@ -289,36 +288,10 @@ def run_sync_master_slave(
                 for candidate in batch:
                     yield hold("ta", "master")
                     engine.ingest(candidate)
-                    history.maybe_record(
-                        engine.nfe,
-                        env.now,
-                        engine.archive.objectives,
-                        engine.restarts,
-                    )
+                    run.record()
                     if engine.nfe >= max_nfe:
                         break
         return env.now
 
     proc = env.process(master_proc(env), name="sync-master")
-    elapsed = env.run(until=proc)
-
-    history.maybe_record(
-        engine.nfe, elapsed, engine.archive.objectives, engine.restarts, force=True
-    )
-    history.total_nfe = engine.nfe
-    history.total_restarts = engine.restarts
-    history.elapsed = elapsed
-
-    return ParallelRunResult(
-        elapsed=float(elapsed),
-        nfe=engine.nfe,
-        processors=processors,
-        borg=engine.result(history),
-        history=history,
-        worker_evaluations=worker_evals,
-        master_busy=master.busy_time,
-        master_mean_wait=master.mean_wait(),
-        master_max_queue=master.max_queue_length,
-        observed=observed,
-        trace=trace,
-    )
+    return run.finish(env.run(until=proc))

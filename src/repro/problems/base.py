@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import fastpath
 from ..core.solution import Solution
 
 __all__ = ["Problem", "FunctionProblem"]
@@ -21,10 +20,11 @@ __all__ = ["Problem", "FunctionProblem"]
 class Problem(ABC):
     """A box-constrained multiobjective minimisation problem.
 
-    Subclasses implement :meth:`_evaluate` mapping a decision vector to
-    an objective vector (and optionally constraints via
-    :meth:`_evaluate_constraints`).  The public :meth:`evaluate` fills a
-    :class:`Solution` in place and counts function evaluations.
+    Subclasses implement :meth:`_evaluate_batch` mapping a matrix of
+    decision vectors to objective (and optional constraint) matrices.
+    The public :meth:`evaluate` fills one :class:`Solution` in place,
+    :meth:`evaluate_batch` a whole matrix; both count function
+    evaluations.
     """
 
     def __init__(
@@ -57,13 +57,6 @@ class Problem(ABC):
 
     # -- evaluation -----------------------------------------------------------
     @abstractmethod
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Objective vector for decision vector ``x`` (within bounds)."""
-
-    def _evaluate_constraints(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """Constraint-violation vector; None for unconstrained problems."""
-        return None
-
     def _evaluate_batch(
         self, X: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -71,30 +64,9 @@ class Problem(ABC):
 
         ``X`` has shape ``(n, nvars)``; returns ``(F, C)`` where ``F``
         is ``(n, nobjs)`` and ``C`` is ``(n, nconstraints)`` or None.
-
-        The base implementation loops over :meth:`_evaluate`; analytic
-        suites override it with a NumPy-vectorized version that matches
-        the scalar path bit for bit.
+        This is the problem's only kernel: :meth:`evaluate` runs it on a
+        one-row block, :meth:`evaluate_batch` on the whole matrix.
         """
-        return self._evaluate_batch_fallback(X)
-
-    def _evaluate_batch_fallback(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Reference row-by-row batch evaluation (always available)."""
-        n = X.shape[0]
-        F = np.empty((n, self.nobjs), dtype=float)
-        C: Optional[np.ndarray] = None
-        for i in range(n):
-            F[i] = np.asarray(self._evaluate(X[i]), dtype=float)
-            constraints = self._evaluate_constraints(X[i])
-            if constraints is not None:
-                if C is None:
-                    C = np.zeros(
-                        (n, np.asarray(constraints).shape[0]), dtype=float
-                    )
-                C[i] = np.asarray(constraints, dtype=float)
-        return F, C
 
     def evaluate_batch(
         self, X: np.ndarray
@@ -104,20 +76,13 @@ class Problem(ABC):
         Returns ``(F, C)``: the ``(n, nobjs)`` objective matrix and the
         ``(n, nconstraints)`` constraint-violation matrix (None when the
         problem is unconstrained).  Counts ``n`` function evaluations.
-
-        With the :mod:`repro.fastpath` toggle off this routes through
-        the scalar :meth:`_evaluate` loop, which lets tests prove the
-        vectorized overrides are drift-free.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.nvars:
             raise ValueError(
                 f"expected shape (n, {self.nvars}), got {X.shape}"
             )
-        if fastpath.enabled():
-            F, C = self._evaluate_batch(X)
-        else:
-            F, C = self._evaluate_batch_fallback(X)
+        F, C = self._evaluate_batch(X)
         F = np.asarray(F, dtype=float)
         if F.shape != (X.shape[0], self.nobjs):
             raise ValueError(
@@ -147,15 +112,15 @@ class Problem(ABC):
             raise ValueError(
                 f"expected {self.nvars} variables, got shape {x.shape}"
             )
-        solution.objectives = np.asarray(self._evaluate(x), dtype=float)
+        F, C = self._evaluate_batch(np.asarray(x, dtype=float)[None, :])
+        solution.objectives = np.asarray(F, dtype=float)[0]
         if solution.objectives.shape != (self.nobjs,):
             raise ValueError(
                 f"{self.name} returned {solution.objectives.shape} "
                 f"objectives, expected ({self.nobjs},)"
             )
-        constraints = self._evaluate_constraints(x)
-        if constraints is not None:
-            solution.constraints = np.asarray(constraints, dtype=float)
+        if C is not None:
+            solution.constraints = np.asarray(C, dtype=float)[0]
         self.evaluations += 1
         return solution
 
@@ -198,7 +163,8 @@ class FunctionProblem(Problem):
     ``function(x) -> objectives`` with optional
     ``constraint_function(x) -> violations``.  ``batch_function``, when
     given, maps an ``(n, nvars)`` matrix to ``(n, nobjs)`` objectives in
-    one call and is used by :meth:`evaluate_batch`.
+    one call; without it the rows are evaluated one ``function`` call
+    at a time.
     """
 
     def __init__(
@@ -225,18 +191,13 @@ class FunctionProblem(Problem):
         self._constraint_function = constraint_function
         self._batch_function = batch_function
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._function(x), dtype=float)
-
-    def _evaluate_constraints(self, x: np.ndarray):
-        if self._constraint_function is None:
-            return None
-        return np.asarray(self._constraint_function(x), dtype=float)
-
     def _evaluate_batch(self, X: np.ndarray):
         if self._batch_function is None:
-            return self._evaluate_batch_fallback(X)
-        F = np.asarray(self._batch_function(X), dtype=float)
+            F = np.stack(
+                [np.asarray(self._function(x), dtype=float) for x in X]
+            )
+        else:
+            F = np.asarray(self._batch_function(X), dtype=float)
         if self._constraint_function is None:
             return F, None
         C = np.stack(

@@ -193,30 +193,9 @@ class FaultyProblem(Problem):
         return F
 
     # -- evaluation ---------------------------------------------------------
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        corrupt = self._maybe_inject()
-        f = np.asarray(self.inner._evaluate(x), dtype=float)
-        if corrupt:
-            f = f.copy()
-            f[0] = np.nan
-        return f
-
-    def _evaluate_constraints(self, x: np.ndarray):
-        return self.inner._evaluate_constraints(x)
-
     def _evaluate_batch(self, X: np.ndarray):
         corrupt = self._maybe_inject()
         F, C = self.inner._evaluate_batch(X)
-        if corrupt:
-            F = self._corrupt(F)
-        return F, C
-
-    def _evaluate_batch_fallback(self, X: np.ndarray):
-        # Override the base fallback too: workers call it directly when
-        # the fastpath toggle is off, and the inner problem's own
-        # fallback must stay chaos-free for re-evaluation parity.
-        corrupt = self._maybe_inject()
-        F, C = self.inner._evaluate_batch_fallback(X)
         if corrupt:
             F = self._corrupt(F)
         return F, C

@@ -80,12 +80,6 @@ class TimedProblem(Problem):
         """Draw one TF value (from the wrapper's own stream by default)."""
         return float(self.delay.sample(rng if rng is not None else self._rng))
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.inner._evaluate(x)
-
-    def _evaluate_constraints(self, x: np.ndarray):
-        return self.inner._evaluate_constraints(x)
-
     def _evaluate_batch(self, X: np.ndarray):
         return self.inner._evaluate_batch(X)
 

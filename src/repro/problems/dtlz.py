@@ -42,10 +42,6 @@ class _DTLZ(Problem):
         # objective DTLZ instances.
         return np.full(self.nobjs, 0.06 if self.nobjs >= 4 else 0.01)
 
-    def _position_distance(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = self.nobjs
-        return x[: m - 1], x[m - 1 :]
-
     def _position_distance_batch(
         self, X: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -53,27 +49,11 @@ class _DTLZ(Problem):
         return X[:, : m - 1], X[:, m - 1 :]
 
 
-def _spherical_objectives(theta: np.ndarray, g: float, m: int) -> np.ndarray:
-    """DTLZ2/3/4 shape: products of cosines with a trailing sine."""
-    cos = np.cos(theta * np.pi / 2.0)
-    sin = np.sin(theta * np.pi / 2.0)
-    f = np.empty(m)
-    for j in range(m):
-        prod = np.prod(cos[: m - 1 - j])
-        if j > 0:
-            prod *= sin[m - 1 - j]
-        f[j] = (1.0 + g) * prod
-    return f
-
-
 def _spherical_objectives_batch(
     theta: np.ndarray, g: np.ndarray, m: int
 ) -> np.ndarray:
-    """Row-wise :func:`_spherical_objectives`, bit-identical per row.
-
-    Per-row axis-1 products follow the same pairwise reduction tree as
-    the scalar 1-D products, so vectorizing across rows changes nothing.
-    """
+    """DTLZ2/3/4 shape, per row: products of cosines with a trailing
+    sine."""
     cos = np.cos(theta * np.pi / 2.0)
     sin = np.sin(theta * np.pi / 2.0)
     F = np.empty((theta.shape[0], m))
@@ -89,21 +69,6 @@ class DTLZ1(_DTLZ):
     """Linear Pareto front (hyperplane sum f = 0.5), multimodal g."""
 
     default_k = 5
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        pos, dist = self._position_distance(x)
-        m = self.nobjs
-        g = 100.0 * (
-            self.k
-            + np.sum((dist - 0.5) ** 2 - np.cos(20.0 * np.pi * (dist - 0.5)))
-        )
-        f = np.empty(m)
-        for j in range(m):
-            prod = np.prod(pos[: m - 1 - j])
-            if j > 0:
-                prod *= 1.0 - pos[m - 1 - j]
-            f[j] = 0.5 * (1.0 + g) * prod
-        return f
 
     def _evaluate_batch(self, X: np.ndarray):
         pos, dist = self._position_distance_batch(X)
@@ -130,11 +95,6 @@ class DTLZ2(_DTLZ):
     The paper's easy benchmark, run with five objectives.
     """
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        pos, dist = self._position_distance(x)
-        g = float(np.sum((dist - 0.5) ** 2))
-        return _spherical_objectives(pos, g, self.nobjs)
-
     def _evaluate_batch(self, X: np.ndarray):
         pos, dist = self._position_distance_batch(X)
         g = np.sum((dist - 0.5) ** 2, axis=1)
@@ -143,14 +103,6 @@ class DTLZ2(_DTLZ):
 
 class DTLZ3(_DTLZ):
     """DTLZ2's sphere with DTLZ1's highly multimodal distance function."""
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        pos, dist = self._position_distance(x)
-        g = 100.0 * (
-            self.k
-            + np.sum((dist - 0.5) ** 2 - np.cos(20.0 * np.pi * (dist - 0.5)))
-        )
-        return _spherical_objectives(pos, g, self.nobjs)
 
     def _evaluate_batch(self, X: np.ndarray):
         pos, dist = self._position_distance_batch(X)
@@ -172,11 +124,6 @@ class DTLZ4(_DTLZ):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = alpha
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        pos, dist = self._position_distance(x)
-        g = float(np.sum((dist - 0.5) ** 2))
-        return _spherical_objectives(pos**self.alpha, g, self.nobjs)
 
     def _evaluate_batch(self, X: np.ndarray):
         pos, dist = self._position_distance_batch(X)

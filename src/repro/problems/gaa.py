@@ -21,6 +21,16 @@ from .base import Problem
 __all__ = ["AircraftDesign"]
 
 
+def _violation_ge(value: float, limit: float) -> float:
+    """Violation magnitude of ``value >= limit``."""
+    return max(0.0, limit - value)
+
+
+def _violation_le(value: float, limit: float) -> float:
+    """Violation magnitude of ``value <= limit``."""
+    return max(0.0, value - limit)
+
+
 class AircraftDesign(Problem):
     """Synthetic 9-variable, 5-objective, 9-constraint aircraft sizing.
 
@@ -120,43 +130,33 @@ class AircraftDesign(Problem):
             "cost": cost,
         }
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        p = self._physics(x)
-        return np.array(
-            [
+    def _evaluate_batch(self, X: np.ndarray):
+        """Objectives and constraint violations from one :meth:`_physics`
+        pass per row."""
+        n = X.shape[0]
+        F = np.empty((n, self.nobjs))
+        C = np.empty((n, self.nconstraints))
+        for i, x in enumerate(X):
+            p = self._physics(x)
+            F[i] = (
                 p["fuel_flow"],          # fuel burn (lb/hr)
                 p["noise"],              # cabin noise (dB-ish)
                 p["cost"],               # acquisition cost ($k)
                 -p["range_nm"],          # maximise range
                 -p["climb_rate"],        # maximise climb rate
-            ]
-        )
-
-    def _evaluate_constraints(self, x: np.ndarray) -> np.ndarray:
-        p = self._physics(x)
-        seats = x[5]
-
-        def violation_ge(value: float, limit: float) -> float:
-            """Violation magnitude of ``value >= limit``."""
-            return max(0.0, limit - value)
-
-        def violation_le(value: float, limit: float) -> float:
-            """Violation magnitude of ``value <= limit``."""
-            return max(0.0, value - limit)
-
-        return np.array(
-            [
-                violation_ge(p["payload"], 170.0 * seats),      # carry pax
-                violation_ge(p["climb_rate"], 500.0),            # min climb
-                violation_le(p["stall_speed"], 61.0),            # FAR 23 stall
-                violation_ge(p["range_nm"], 400.0),              # min range
-                violation_le(p["noise"], 118.0),                 # noise cap
-                violation_le(p["cost"], 400.0),                  # budget cap
-                violation_ge(x[3] - p["required_power"], 0.0),   # power margin
-                violation_le(p["gross_weight"], 6000.0),         # weight cap
-                violation_ge(p["fuel_weight"], 120.0),           # reserve fuel
-            ]
-        )
+            )
+            C[i] = (
+                _violation_ge(p["payload"], 170.0 * x[5]),      # carry pax
+                _violation_ge(p["climb_rate"], 500.0),           # min climb
+                _violation_le(p["stall_speed"], 61.0),           # FAR 23 stall
+                _violation_ge(p["range_nm"], 400.0),             # min range
+                _violation_le(p["noise"], 118.0),                # noise cap
+                _violation_le(p["cost"], 400.0),                 # budget cap
+                _violation_ge(x[3] - p["required_power"], 0.0),  # power margin
+                _violation_le(p["gross_weight"], 6000.0),        # weight cap
+                _violation_ge(p["fuel_weight"], 120.0),          # reserve fuel
+            )
+        return F, C
 
     def default_epsilons(self) -> np.ndarray:
         # Scaled roughly to 1% of each objective's interesting span.

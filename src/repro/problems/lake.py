@@ -70,21 +70,15 @@ class LakeProblem(Problem):
 
     def simulate(self, decisions: np.ndarray) -> np.ndarray:
         """Lake phosphorus trajectory under a discharge policy."""
-        # np.power (not **): np.float64.__pow__ rounds differently from
-        # the power ufunc the batched simulation uses.
-        horizon = decisions.size
-        x = np.empty(horizon + 1)
-        x[0] = 0.0
-        for t in range(horizon):
-            pq = np.power(x[t], self.q)
-            recycling = pq / (1.0 + pq)
-            x[t + 1] = x[t] + decisions[t] + recycling - self.b * x[t]
-        return x
+        return self.simulate_batch(np.asarray(decisions)[None, :])[0]
 
     def simulate_batch(self, decisions: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`simulate`: one trajectory per policy row.
+        """One phosphorus trajectory per policy row.
 
         Vectorized across policies; the time recurrence stays serial.
+        ``np.power`` (not ``**``): ``np.float64.__pow__`` rounds
+        differently from the power ufunc, and each row must match the
+        scalar recurrence kept as the test oracle bit for bit.
         """
         n, horizon = decisions.shape
         x = np.zeros((n, horizon + 1))
@@ -93,17 +87,6 @@ class LakeProblem(Problem):
             recycling = pq / (1.0 + pq)
             x[:, t + 1] = x[:, t] + decisions[:, t] + recycling - self.b * x[:, t]
         return x
-
-    def _evaluate(self, a: np.ndarray) -> np.ndarray:
-        x = self.simulate(a)
-        t = np.arange(a.size)
-        benefit = float(np.sum(self.alpha * a * self.delta**t))
-        peak_p = float(np.max(x))
-        # Inertia: fraction of transitions without a drastic cut.
-        cuts = np.diff(a, prepend=a[0])
-        inertia = float(np.mean(cuts >= -self.inertia_limit))
-        reliability = float(np.mean(x[1:] < self.critical_p))
-        return np.array([-benefit, peak_p, -inertia, -reliability])
 
     def _evaluate_batch(self, A: np.ndarray):
         x = self.simulate_batch(A)

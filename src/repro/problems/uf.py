@@ -101,9 +101,6 @@ class RotatedProblem(Problem):
         )
         return Z
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.inner._evaluate(self.transform(x))
-
     def _evaluate_batch(self, X: np.ndarray):
         F, _ = self.inner._evaluate_batch(self.transform_batch(X))
         return F, None
@@ -147,16 +144,6 @@ class UF1(Problem):
         lower[0] = 0.0
         super().__init__(nvars, 2, lower=lower, upper=upper, name="UF1")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j = np.arange(2, n + 1)
-        y = x[1:] - np.sin(6.0 * np.pi * x[0] + j * np.pi / n)
-        odd = j % 2 == 1   # J1: odd j (3, 5, ...)
-        even = ~odd        # J2: even j (2, 4, ...)
-        f1 = x[0] + (2.0 / max(1, odd.sum())) * np.sum(y[odd] ** 2)
-        f2 = 1.0 - np.sqrt(x[0]) + (2.0 / max(1, even.sum())) * np.sum(y[even] ** 2)
-        return np.array([f1, f2])
-
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
         j = np.arange(2, n + 1)
@@ -166,7 +153,7 @@ class UF1(Problem):
         even = ~odd
         # Boolean column selection returns an F-ordered array whose
         # axis-1 sum takes a different (sequential) reduction path than
-        # the scalar code's pairwise sum; re-layout for bit parity.
+        # the scalar reference's pairwise sum; re-layout for bit parity.
         y_odd = np.ascontiguousarray(Y[:, odd])
         y_even = np.ascontiguousarray(Y[:, even])
         f1 = x1 + (2.0 / max(1, odd.sum())) * np.sum(y_odd**2, axis=1)
@@ -191,32 +178,6 @@ class UF2(Problem):
         upper = np.ones(nvars)
         lower[0] = 0.0
         super().__init__(nvars, 2, lower=lower, upper=upper, name="UF2")
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        x1 = x[0]
-        j = np.arange(2, n + 1)
-        xj = x[1:]
-        odd = j % 2 == 1
-        even = ~odd
-        y = np.where(
-            odd,
-            xj
-            - (
-                0.3 * x1**2 * np.cos(24.0 * np.pi * x1 + 4.0 * j * np.pi / n)
-                + 0.6 * x1
-            )
-            * np.cos(6.0 * np.pi * x1 + j * np.pi / n),
-            xj
-            - (
-                0.3 * x1**2 * np.cos(24.0 * np.pi * x1 + 4.0 * j * np.pi / n)
-                + 0.6 * x1
-            )
-            * np.sin(6.0 * np.pi * x1 + j * np.pi / n),
-        )
-        f1 = x1 + (2.0 / max(1, odd.sum())) * np.sum(y[odd] ** 2)
-        f2 = 1.0 - np.sqrt(x1) + (2.0 / max(1, even.sum())) * np.sum(y[even] ** 2)
-        return np.array([f1, f2])
 
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars

@@ -24,24 +24,18 @@ def _split_2obj(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j, j % 2 == 1, j % 2 == 0
 
 
-def _mean_sq(y: np.ndarray, mask: np.ndarray) -> float:
-    """(2 / |J|) * sum of squares over the masked entries."""
-    count = max(1, int(mask.sum()))
-    return (2.0 / count) * float(np.sum(y[mask] ** 2))
-
-
 def _masked_rows(Y: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Column subset of ``Y`` with C-contiguous rows.
 
     Boolean column selection yields an F-ordered array whose axis-1
     reductions take a sequential (not pairwise) path, which would break
-    bit parity with the scalar per-row sums.
+    bit parity with the scalar reference's per-row sums.
     """
     return np.ascontiguousarray(Y[:, mask])
 
 
 def _mean_sq_rows(Y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_mean_sq`, bit-identical per row."""
+    """(2 / |J|) * the row sums of squares over the masked columns."""
     count = max(1, int(mask.sum()))
     return (2.0 / count) * np.sum(_masked_rows(Y, mask) ** 2, axis=1)
 
@@ -54,24 +48,6 @@ class UF3(Problem):
         if nvars < 3:
             raise ValueError("UF3 needs at least 3 variables")
         super().__init__(nvars, 2, lower=np.zeros(nvars), upper=np.ones(nvars), name="UF3")
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2 = _split_2obj(n)
-        x1 = x[0]
-        y = x[1:] - x1 ** (0.5 * (1.0 + 3.0 * (j - 2.0) / (n - 2.0)))
-
-        def term(mask):
-            count = max(1, int(mask.sum()))
-            yj = y[mask]
-            cos_part = np.prod(np.cos(20.0 * yj * np.pi / np.sqrt(j[mask])))
-            return (2.0 / count) * (
-                4.0 * float(np.sum(yj**2)) - 2.0 * cos_part + 2.0
-            )
-
-        f1 = x1 + term(J1)
-        f2 = 1.0 - np.sqrt(x1) + term(J2)
-        return np.array([f1, f2])
 
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
@@ -109,21 +85,6 @@ class UF4(Problem):
         lower[0], upper[0] = 0.0, 1.0
         super().__init__(nvars, 2, lower=lower, upper=upper, name="UF4")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2 = _split_2obj(n)
-        x1 = x[0]
-        y = x[1:] - np.sin(6.0 * np.pi * x1 + j * np.pi / n)
-        h = np.abs(y) / (1.0 + np.exp(2.0 * np.abs(y)))
-
-        def term(mask):
-            count = max(1, int(mask.sum()))
-            return (2.0 / count) * float(np.sum(h[mask]))
-
-        f1 = x1 + term(J1)
-        f2 = 1.0 - x1**2 + term(J2)
-        return np.array([f1, f2])
-
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
         j, J1, J2 = _split_2obj(n)
@@ -155,22 +116,6 @@ class UF5(Problem):
         super().__init__(nvars, 2, lower=lower, upper=upper, name="UF5")
         self.N = N
         self.eps = eps
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2 = _split_2obj(n)
-        x1 = x[0]
-        y = x[1:] - np.sin(6.0 * np.pi * x1 + j * np.pi / n)
-        h = 2.0 * y**2 - np.cos(4.0 * np.pi * y) + 1.0
-        bump = (0.5 / self.N + self.eps) * abs(np.sin(2.0 * self.N * np.pi * x1))
-
-        def term(mask):
-            count = max(1, int(mask.sum()))
-            return (2.0 / count) * float(np.sum(h[mask]))
-
-        f1 = x1 + bump + term(J1)
-        f2 = 1.0 - x1 + bump + term(J2)
-        return np.array([f1, f2])
 
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
@@ -206,28 +151,6 @@ class UF6(Problem):
         super().__init__(nvars, 2, lower=lower, upper=upper, name="UF6")
         self.N = N
         self.eps = eps
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2 = _split_2obj(n)
-        x1 = x[0]
-        y = x[1:] - np.sin(6.0 * np.pi * x1 + j * np.pi / n)
-        bump = max(
-            0.0,
-            2.0 * (0.5 / self.N + self.eps) * np.sin(2.0 * self.N * np.pi * x1),
-        )
-
-        def term(mask):
-            count = max(1, int(mask.sum()))
-            yj = y[mask]
-            cos_part = np.prod(np.cos(20.0 * yj * np.pi / np.sqrt(j[mask])))
-            return (2.0 / count) * (
-                4.0 * float(np.sum(yj**2)) - 2.0 * cos_part + 2.0
-            )
-
-        f1 = x1 + bump + term(J1)
-        f2 = 1.0 - x1 + bump + term(J2)
-        return np.array([f1, f2])
 
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
@@ -268,18 +191,6 @@ class UF7(Problem):
         lower[0] = 0.0
         super().__init__(nvars, 2, lower=lower, upper=upper, name="UF7")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2 = _split_2obj(n)
-        x1 = x[0]
-        y = x[1:] - np.sin(6.0 * np.pi * x1 + j * np.pi / n)
-        # np.power (not **): np.float64.__pow__ rounds differently from
-        # the power ufunc used by the batch path.
-        root = np.power(x1, 0.2)
-        f1 = root + _mean_sq(y, J1)
-        f2 = 1.0 - root + _mean_sq(y, J2)
-        return np.array([f1, f2])
-
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
         j, J1, J2 = _split_2obj(n)
@@ -312,16 +223,6 @@ class UF8(Problem):
         lower[:2], upper[:2] = 0.0, 1.0
         super().__init__(nvars, 3, lower=lower, upper=upper, name="UF8")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2, J3 = _split_3obj(n)
-        x1, x2 = x[0], x[1]
-        y = x[2:] - 2.0 * x2 * np.sin(2.0 * np.pi * x1 + j * np.pi / n)
-        f1 = np.cos(0.5 * x1 * np.pi) * np.cos(0.5 * x2 * np.pi) + _mean_sq(y, J1)
-        f2 = np.cos(0.5 * x1 * np.pi) * np.sin(0.5 * x2 * np.pi) + _mean_sq(y, J2)
-        f3 = np.sin(0.5 * x1 * np.pi) + _mean_sq(y, J3)
-        return np.array([f1, f2, f3])
-
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
         j, J1, J2, J3 = _split_3obj(n)
@@ -349,17 +250,6 @@ class UF9(Problem):
         lower[:2], upper[:2] = 0.0, 1.0
         super().__init__(nvars, 3, lower=lower, upper=upper, name="UF9")
         self.eps = eps
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2, J3 = _split_3obj(n)
-        x1, x2 = x[0], x[1]
-        y = x[2:] - 2.0 * x2 * np.sin(2.0 * np.pi * x1 + j * np.pi / n)
-        gate = max(0.0, (1.0 + self.eps) * (1.0 - 4.0 * (2.0 * x1 - 1.0) ** 2))
-        f1 = 0.5 * (gate + 2.0 * x1) * x2 + _mean_sq(y, J1)
-        f2 = 0.5 * (gate - 2.0 * x1 + 2.0) * x2 + _mean_sq(y, J2)
-        f3 = 1.0 - x2 + _mean_sq(y, J3)
-        return np.array([f1, f2, f3])
 
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars
@@ -390,22 +280,6 @@ class UF10(Problem):
         upper = np.full(nvars, 2.0)
         lower[:2], upper[:2] = 0.0, 1.0
         super().__init__(nvars, 3, lower=lower, upper=upper, name="UF10")
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.nvars
-        j, J1, J2, J3 = _split_3obj(n)
-        x1, x2 = x[0], x[1]
-        y = x[2:] - 2.0 * x2 * np.sin(2.0 * np.pi * x1 + j * np.pi / n)
-        h = 4.0 * y**2 - np.cos(8.0 * np.pi * y) + 1.0
-
-        def term(mask):
-            count = max(1, int(mask.sum()))
-            return (2.0 / count) * float(np.sum(h[mask]))
-
-        f1 = np.cos(0.5 * x1 * np.pi) * np.cos(0.5 * x2 * np.pi) + term(J1)
-        f2 = np.cos(0.5 * x1 * np.pi) * np.sin(0.5 * x2 * np.pi) + term(J2)
-        f3 = np.sin(0.5 * x1 * np.pi) + term(J3)
-        return np.array([f1, f2, f3])
 
     def _evaluate_batch(self, X: np.ndarray):
         n = self.nvars

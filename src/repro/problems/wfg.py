@@ -256,8 +256,7 @@ class _WFG(Problem):
 
     # -- pipeline pieces shared across problems -------------------------------
     # The pipeline is batch-first: every stage maps an (n, cols) matrix
-    # row-wise, and the scalar ``_evaluate`` runs a batch of one, so
-    # single and batched evaluation are bit-identical by construction.
+    # row-wise, and each problem's ``_evaluate_batch`` chains them.
     def _normalise(self, Z: np.ndarray) -> np.ndarray:
         return _clip01(Z / self.upper)
 
@@ -319,14 +318,6 @@ class _WFG(Problem):
         S = 2.0 * np.arange(1, M + 1)
         H = np.stack([shapes(Xp, m) for m in range(1, M + 1)], axis=1)
         return tM[:, None] + S * H
-
-    # -- per-problem hook ---------------------------------------------------------
-    def _evaluate_batch(self, X: np.ndarray):
-        raise NotImplementedError
-
-    def _evaluate(self, z: np.ndarray) -> np.ndarray:
-        F, _ = self._evaluate_batch(np.asarray(z, dtype=float)[None, :])
-        return F[0]
 
     def default_epsilons(self) -> np.ndarray:
         # Objectives span [0, 2m]; 1% of the largest scale.

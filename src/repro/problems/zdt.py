@@ -27,11 +27,6 @@ class ZDT1(_ZDT):
     def __init__(self, nvars: int = 30) -> None:
         super().__init__(nvars)
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        g = 1.0 + 9.0 * np.mean(x[1:])
-        f1 = x[0]
-        return np.array([f1, g * (1.0 - np.sqrt(f1 / g))])
-
     def _evaluate_batch(self, X: np.ndarray):
         g = 1.0 + 9.0 * np.mean(X[:, 1:], axis=1)
         f1 = X[:, 0]
@@ -44,11 +39,6 @@ class ZDT2(_ZDT):
     def __init__(self, nvars: int = 30) -> None:
         super().__init__(nvars)
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        g = 1.0 + 9.0 * np.mean(x[1:])
-        f1 = x[0]
-        return np.array([f1, g * (1.0 - (f1 / g) ** 2)])
-
     def _evaluate_batch(self, X: np.ndarray):
         g = 1.0 + 9.0 * np.mean(X[:, 1:], axis=1)
         f1 = X[:, 0]
@@ -60,12 +50,6 @@ class ZDT3(_ZDT):
 
     def __init__(self, nvars: int = 30) -> None:
         super().__init__(nvars)
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        g = 1.0 + 9.0 * np.mean(x[1:])
-        f1 = x[0]
-        h = 1.0 - np.sqrt(f1 / g) - (f1 / g) * np.sin(10.0 * np.pi * f1)
-        return np.array([f1, g * h])
 
     def _evaluate_batch(self, X: np.ndarray):
         g = 1.0 + 9.0 * np.mean(X[:, 1:], axis=1)
@@ -82,16 +66,6 @@ class ZDT4(_ZDT):
         upper = np.full(nvars, 5.0)
         lower[0], upper[0] = 0.0, 1.0
         super().__init__(nvars, lower=lower, upper=upper)
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        tail = x[1:]
-        g = (
-            1.0
-            + 10.0 * tail.size
-            + np.sum(tail**2 - 10.0 * np.cos(4.0 * np.pi * tail))
-        )
-        f1 = x[0]
-        return np.array([f1, g * (1.0 - np.sqrt(f1 / g))])
 
     def _evaluate_batch(self, X: np.ndarray):
         tail = X[:, 1:]
@@ -110,14 +84,9 @@ class ZDT6(_ZDT):
     def __init__(self, nvars: int = 10) -> None:
         super().__init__(nvars)
 
-    # np.power (not the ** operator) on both paths: np.float64.__pow__
-    # rounds differently from the power ufunc, and the batch path must
-    # match the scalar path bit for bit.
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        f1 = 1.0 - np.exp(-4.0 * x[0]) * np.power(np.sin(6.0 * np.pi * x[0]), 6)
-        g = 1.0 + 9.0 * np.power(np.mean(x[1:]), 0.25)
-        return np.array([f1, g * (1.0 - (f1 / g) ** 2)])
-
+    # np.power (not the ** operator): np.float64.__pow__ rounds
+    # differently from the power ufunc, and the kernel must match the
+    # scalar reference bit for bit.
     def _evaluate_batch(self, X: np.ndarray):
         x0 = X[:, 0]
         f1 = 1.0 - np.exp(-4.0 * x0) * np.power(np.sin(6.0 * np.pi * x0), 6)

@@ -1,10 +1,11 @@
 """Parity and unit tests for the indexed archive hot path.
 
-The box-grid index (``repro.fastpath`` on) must be *decision-identical*
-to the reference full-scan archive: same accept/reject, same
-epsilon-progress, same eviction sets in the same order, same final
-membership -- bit for bit, including across constraint-violation tier
-flushes, mid-stream toggles, and checkpoint/resume.
+The box-grid index behind ``EpsilonBoxArchive.add`` must be
+*decision-identical* to the full-scan oracle (``tests/reference``):
+same accept/reject, same epsilon-progress, same eviction sets in the
+same order, same final membership -- bit for bit, including across
+constraint-violation tier flushes, index drops (what a checkpoint
+restore does), and checkpoint/resume.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import fastpath
+from reference import FullScanArchive, use_reference_paths
 from repro.core import (
     BorgConfig,
     BorgMOEA,
@@ -35,16 +36,10 @@ def sol(objs, cons=None, operator="sbx"):
 
 
 def paired_add(ref, idx, objs, cons=None, operator="sbx"):
-    """Offer the same point to the reference and indexed archives and
+    """Offer the same point to the full-scan and indexed archives and
     assert the two decisions match exactly."""
-    with fastpath.disabled():
-        r_ref = ref.add(sol(objs, cons, operator))
-    was = fastpath.enabled()
-    fastpath.set_enabled(True)
-    try:
-        r_idx = idx.add(sol(objs, cons, operator))
-    finally:
-        fastpath.set_enabled(was)
+    r_ref = ref.add(sol(objs, cons, operator))
+    r_idx = idx.add(sol(objs, cons, operator))
     assert r_ref.accepted == r_idx.accepted
     assert r_ref.improvement == r_idx.improvement
     assert len(r_ref.removed) == len(r_idx.removed)
@@ -67,7 +62,7 @@ class TestIndexedArchiveParity:
     @pytest.mark.parametrize("eps", [0.03, 0.15])
     def test_random_stream_parity(self, seed, eps):
         rng = np.random.default_rng(seed)
-        ref, idx = EpsilonBoxArchive(eps), EpsilonBoxArchive(eps)
+        ref, idx = FullScanArchive(eps), EpsilonBoxArchive(eps)
         ops = ["sbx", "de", "pcx"]
         for _ in range(1500):
             m = 3
@@ -83,7 +78,7 @@ class TestIndexedArchiveParity:
             assert_archives_identical(ref, idx)
 
     def test_tier_flush_parity(self):
-        ref, idx = EpsilonBoxArchive(0.1), EpsilonBoxArchive(0.1)
+        ref, idx = FullScanArchive(0.1), EpsilonBoxArchive(0.1)
         paired_add(ref, idx, [0.5, 0.5], cons=np.array([3.0]))
         paired_add(ref, idx, [0.2, 0.8], cons=np.array([3.0]))
         # Better violation tier flushes the whole archive.
@@ -97,7 +92,7 @@ class TestIndexedArchiveParity:
         assert_archives_identical(ref, idx)
 
     def test_duplicate_and_boundary_points_parity(self):
-        ref, idx = EpsilonBoxArchive(0.25), EpsilonBoxArchive(0.25)
+        ref, idx = FullScanArchive(0.25), EpsilonBoxArchive(0.25)
         pts = [
             [0.5, 0.5],
             [0.5, 0.5],          # exact duplicate: same-box, equal corner distance
@@ -115,7 +110,7 @@ class TestIndexedArchiveParity:
         # Eviction compaction and same-box replacement both reorder the
         # solutions list; the orders must match exactly.
         rng = np.random.default_rng(123)
-        ref, idx = EpsilonBoxArchive(0.02), EpsilonBoxArchive(0.02)
+        ref, idx = FullScanArchive(0.02), EpsilonBoxArchive(0.02)
         for _ in range(800):
             scale = rng.choice([1.0, 0.8, 0.6])   # improving waves evict
             v = np.abs(rng.normal(size=3))
@@ -123,21 +118,19 @@ class TestIndexedArchiveParity:
         for a, b in zip(ref.solutions, idx.solutions):
             assert np.array_equal(a.objectives, b.objectives)
 
-    def test_midstream_toggle_keeps_single_archive_consistent(self):
-        # One archive driven with the fastpath flipped every few adds
-        # must track a pure-reference archive exactly: the index is
-        # dropped/rebuilt at the toggles, never trusted stale.
+    def test_index_drops_keep_single_archive_consistent(self):
+        # One archive whose index is dropped every few adds (what a
+        # checkpoint restore leaves behind) must track the full-scan
+        # oracle exactly: the index is rebuilt from the members on the
+        # next add, never trusted stale.
         rng = np.random.default_rng(7)
-        mixed, pure = EpsilonBoxArchive(0.05), EpsilonBoxArchive(0.05)
+        mixed, pure = EpsilonBoxArchive(0.05), FullScanArchive(0.05)
         for i in range(600):
             objs = rng.random(3)
-            fastpath.set_enabled((i // 7) % 2 == 0)
-            try:
-                r1 = mixed.add(sol(objs))
-            finally:
-                fastpath.set_enabled(True)
-            with fastpath.disabled():
-                r2 = pure.add(sol(objs))
+            if i % 7 == 0:
+                mixed._index = None
+            r1 = mixed.add(sol(objs))
+            r2 = pure.add(sol(objs))
             assert r1.accepted == r2.accepted
             assert r1.improvement == r2.improvement
         assert_archives_identical(pure, mixed)
@@ -156,24 +149,23 @@ class TestIndexedArchiveParity:
         eps=st.floats(0.05, 1.5),
     )
     def test_property_parity(self, F, eps):
-        ref, idx = EpsilonBoxArchive(eps), EpsilonBoxArchive(eps)
+        ref, idx = FullScanArchive(eps), EpsilonBoxArchive(eps)
         for row in F:
             paired_add(ref, idx, row)
         assert_archives_identical(ref, idx)
 
-    def test_index_is_built_and_dropped_with_toggle(self):
+    def test_index_is_built_and_dropped_with_toggle(self, monkeypatch):
         archive = EpsilonBoxArchive(0.1)
-        fastpath.set_enabled(True)
-        try:
-            archive.add(sol([0.1, 0.9]))
-            archive.add(sol([0.9, 0.1]))
-            assert archive._index is not None
-            assert len(archive._index.front) == 2
-        finally:
-            fastpath.set_enabled(True)
-        with fastpath.disabled():
+        archive.add(sol([0.1, 0.9]))
+        archive.add(sol([0.9, 0.1]))
+        assert archive._index is not None
+        assert len(archive._index.front) == 2
+        with monkeypatch.context() as patch:
+            use_reference_paths(patch)
             archive.add(sol([0.5, 0.5]))
-        assert archive._index is None  # reference adds invalidate it
+        assert archive._index is None  # full-scan adds invalidate it
+        archive.add(sol([0.4, 0.4]))
+        assert len(archive._index.front) == len(archive)
 
 
 class TestCheckpointResumeParity:
@@ -185,14 +177,13 @@ class TestCheckpointResumeParity:
 
         finals = {}
         for mode in (True, False):
-            fastpath.set_enabled(mode)
-            try:
+            with pytest.MonkeyPatch.context() as patch:
+                if not mode:
+                    use_reference_paths(patch)
                 resumed = BorgMOEA.from_checkpoint(
                     DTLZ2(nvars=7, nobjs=2), path, config=config
                 )
                 result = resumed.run(max_nfe=800)
-            finally:
-                fastpath.set_enabled(True)
             finals[mode] = (
                 np.asarray(result.objectives).copy(),
                 result.archive.improvements,

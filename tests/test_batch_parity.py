@@ -1,29 +1,37 @@
-"""Parity guarantees of the vectorized fast paths.
+"""Parity of the production hot paths with the frozen reference oracles.
 
-Three families of property tests:
+Four families of property tests (oracles in ``tests/reference``):
 
-* ``evaluate_batch`` is bit-for-bit identical to the scalar
-  ``_evaluate``/``_evaluate_constraints`` loop on every registered
-  problem (seeded random decision matrices);
-* the fast ``nondominated_mask`` dispatch returns exactly the mask of
-  the row-at-a-time reference;
+* ``evaluate_batch`` and ``evaluate`` are bit-for-bit identical to the
+  scalar ``_evaluate``/``_evaluate_constraints`` kernels on every
+  registered problem (seeded random decision matrices), and
+  ``TimedProblem`` draws its delays in the same order either way;
+* the shape-dispatched ``nondominated_mask`` returns exactly the mask
+  of the row-at-a-time reference;
 * the hypervolume engine (3-D sweep, iterative WFG, cache) matches the
   reference recursion on seeded 2-5 objective fronts, and the iterative
   WFG is bitwise identical to the recursion;
-* a seeded serial Borg run produces an identical archive with the fast
-  paths enabled and disabled (no behavioural drift).
+* a seeded serial Borg run produces an identical archive on the
+  production paths and with every oracle patched in (no behavioural
+  drift).
 """
 
 import numpy as np
 import pytest
 
-from repro import fastpath
-from repro.core import BorgConfig, BorgMOEA
-from repro.core.dominance import _nondominated_mask_reference, nondominated_mask
+from reference import (
+    evaluate_batch_fallback,
+    hypervolume_reference,
+    nondominated_mask_reference,
+    scalar_evaluate,
+    use_reference_paths,
+    wfg,
+)
+from repro.core import BorgConfig, BorgMOEA, Solution
+from repro.core.dominance import nondominated_mask
 from repro.indicators.hypervolume import (
     Hypervolume,
     _clean_front,
-    _wfg,
     _wfg_iterative,
     hypervolume,
 )
@@ -116,36 +124,58 @@ def _random_matrix(problem, n, seed):
     "factory", PROBLEM_FACTORIES, ids=lambda f: repr(f()).strip("<>")
 )
 def test_evaluate_batch_matches_scalar_bitwise(factory):
+    """Both entry points -- ``evaluate_batch`` over the whole matrix and
+    ``evaluate`` (the serial engine's, a one-row block) -- match the
+    scalar oracle row by row."""
     problem = factory()
     X = _random_matrix(problem, 64, seed=hash(problem.name) % 2**32)
     F_batch, C_batch = problem.evaluate_batch(X)
     for i in range(X.shape[0]):
-        f = np.asarray(problem._evaluate(X[i]), dtype=float)
-        np.testing.assert_array_equal(
-            F_batch[i], f, err_msg=f"{problem.name} row {i} objectives"
-        )
-        c = problem._evaluate_constraints(X[i])
+        f, c = scalar_evaluate(problem, X[i])
+        single = problem.evaluate(Solution(X[i].copy()))
+        for got, entry in ((F_batch[i], "batch"), (single.objectives, "single")):
+            np.testing.assert_array_equal(
+                got,
+                np.asarray(f, dtype=float),
+                err_msg=f"{problem.name} row {i} {entry} objectives",
+            )
         if c is None:
             assert C_batch is None
+            assert single.constraints.size == 0
         else:
-            np.testing.assert_array_equal(
-                C_batch[i],
-                np.asarray(c, dtype=float),
-                err_msg=f"{problem.name} row {i} constraints",
-            )
+            for got, entry in ((C_batch[i], "batch"), (single.constraints, "single")):
+                np.testing.assert_array_equal(
+                    got,
+                    np.asarray(c, dtype=float),
+                    err_msg=f"{problem.name} row {i} {entry} constraints",
+                )
+    assert problem.evaluations == 2 * X.shape[0]
+
+
+def test_timed_evaluate_keeps_delay_sample_order():
+    """n ``evaluate`` calls draw the same delay stream, and accumulate
+    the same total, as one n-row ``evaluate_batch``."""
+    single = TimedProblem(DTLZ2(nobjs=3), delay=0.01, seed=5)
+    batched = TimedProblem(DTLZ2(nobjs=3), delay=0.01, seed=5)
+    X = _random_matrix(single, 40, seed=3)
+    for x in X:
+        single.evaluate(Solution(x.copy()))
+    batched.evaluate_batch(X)
+    assert single.total_evaluation_time == batched.total_evaluation_time
+    assert single.last_evaluation_time == batched.last_evaluation_time
+    assert single.evaluations == batched.evaluations == X.shape[0]
 
 
 @pytest.mark.parametrize(
     "factory", PROBLEM_FACTORIES, ids=lambda f: repr(f()).strip("<>")
 )
 def test_evaluate_batch_matches_fallback_bitwise(factory):
-    """The vectorized kernels agree with the fallback loop exactly, so
-    REPRO_FASTPATH toggling cannot change any numerical result."""
+    """The vectorized kernels agree with the scalar fallback loop
+    exactly, so no numerical result depends on the block size."""
     problem = factory()
     X = _random_matrix(problem, 32, seed=7)
     F_fast, C_fast = problem.evaluate_batch(X)
-    with fastpath.disabled():
-        F_slow, C_slow = problem.evaluate_batch(X)
+    F_slow, C_slow = evaluate_batch_fallback(problem, X)
     np.testing.assert_array_equal(F_fast, F_slow)
     if C_fast is None:
         assert C_slow is None
@@ -172,7 +202,7 @@ def test_nondominated_mask_matches_reference(seed):
             # Discretised objectives: duplicates and ties galore.
             F = rng.integers(0, 4, size=(n, m)).astype(float)
         np.testing.assert_array_equal(
-            nondominated_mask(F), _nondominated_mask_reference(F)
+            nondominated_mask(F), nondominated_mask_reference(F)
         )
 
 
@@ -185,8 +215,7 @@ def test_hypervolume_engine_matches_reference(seed):
         F = rng.random((n, m))
         ref = 1.0 + rng.random(m)
         fast = hypervolume(F, ref)
-        with fastpath.disabled():
-            slow = hypervolume(F, ref)
+        slow = hypervolume_reference(F, ref)
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
 
@@ -199,13 +228,10 @@ def test_wfg_iterative_bitwise_equals_recursion():
         Fc = _clean_front(F, ref)
         if Fc.shape[0] == 0:
             continue
-        assert _wfg_iterative(Fc, ref) == _wfg(Fc, ref)
+        assert _wfg_iterative(Fc, ref) == wfg(Fc, ref)
 
 
-def test_hypervolume_cache_returns_identical_values(monkeypatch):
-    # The memo cache only operates on the fast path; pin it on so the
-    # test also passes under REPRO_FASTPATH=0.
-    monkeypatch.setattr(fastpath, "_enabled", True)
+def test_hypervolume_cache_returns_identical_values():
     rng = np.random.default_rng(9)
     hv = Hypervolume(1.1, method="exact")
     F = rng.random((40, 4))
@@ -234,9 +260,10 @@ def _run_serial_borg(seed=71, nfe=2500):
     return result
 
 
-def test_serial_borg_archive_identical_with_fastpath_off():
+def test_serial_borg_archive_identical_on_reference_paths(monkeypatch):
     fast = _run_serial_borg()
-    with fastpath.disabled():
+    with monkeypatch.context() as patch:
+        use_reference_paths(patch)
         slow = _run_serial_borg()
     assert fast.nfe == slow.nfe
     assert fast.restarts == slow.restarts

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import Solution
 from repro.models import (
     ChaosSummary,
     simulate_async_with_failures,
@@ -59,7 +60,7 @@ class TestFaultyProblem:
             x = np.full(p.nvars, 0.5)
             for _ in range(n):
                 try:
-                    p._evaluate(x)
+                    p.evaluate(Solution(x))
                     out.append(0)
                 except ChaosError:
                     out.append(1)
@@ -81,10 +82,10 @@ class TestFaultyProblem:
         p = FaultyProblem(DTLZ2(nobjs=2), crash_rate=1.0, crash_mode="raise",
                           seed=3, faulty_workers={1})
         p.reseed_worker(0)
-        p._evaluate(np.full(p.nvars, 0.5))  # worker 0 is healthy
+        p.evaluate(Solution(np.full(p.nvars, 0.5)))  # worker 0 is healthy
         p.reseed_worker(1)
         with pytest.raises(ChaosError):
-            p._evaluate(np.full(p.nvars, 0.5))
+            p.evaluate(Solution(np.full(p.nvars, 0.5)))
 
     def test_delegates_to_inner(self):
         inner = DTLZ2(nobjs=2)
@@ -99,7 +100,7 @@ class TestFaultyProblem:
         q = pickle.loads(pickle.dumps(p))
         assert q.crash_rate == 0.2
         q.reseed_worker(0)
-        q._evaluate(np.full(q.nvars, 0.5))
+        q.evaluate(Solution(np.full(q.nvars, 0.5)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ above) and processor counts from the minimum to paper scale.
 import numpy as np
 import pytest
 
-from repro import fastpath
+from repro.models import simmodel
 from repro.models.fastsim import simulate_async_fast, simulate_sync_fast
 from repro.models.simmodel import (
     SimulationOutcome,
@@ -111,29 +111,25 @@ class TestSyncParity:
 
 
 class TestDispatch:
-    """simulate_async/simulate_sync route through the fastpath toggle."""
+    """simulate_async/simulate_sync run the kernel, which reproduces
+    the simkit reference."""
 
-    def test_fastpath_on_uses_kernel(self, dtlz2_timing):
-        with fastpath.disabled():
-            ref = simulate_async(8, 300, dtlz2_timing, seed=11)
-        was = fastpath.enabled()
-        fastpath.set_enabled(True)
-        try:
-            fast = simulate_async(8, 300, dtlz2_timing, seed=11)
-        finally:
-            fastpath.set_enabled(was)
+    def test_async_dispatch_uses_kernel(self, dtlz2_timing):
+        ref = simulate_async_reference(8, 300, dtlz2_timing, seed=11)
+        fast = simulate_async(8, 300, dtlz2_timing, seed=11)
         _assert_parity(ref, fast)
 
     def test_sync_dispatch(self, dtlz2_timing):
-        with fastpath.disabled():
-            ref = simulate_sync(8, 40, dtlz2_timing, seed=11)
+        ref = simulate_sync_reference(8, 40, dtlz2_timing, seed=11)
         fast = simulate_sync(8, 40, dtlz2_timing, seed=11)
         _assert_parity(ref, fast)
 
-    def test_predict_parity_across_paths(self, dtlz2_timing):
+    def test_predict_parity_across_paths(self, dtlz2_timing, monkeypatch):
         fast = predict_async_time(64, 50_000, dtlz2_timing, seed=2)
-        with fastpath.disabled():
-            ref = predict_async_time(64, 50_000, dtlz2_timing, seed=2)
+        monkeypatch.setattr(
+            simmodel, "simulate_async", simulate_async_reference
+        )
+        ref = predict_async_time(64, 50_000, dtlz2_timing, seed=2)
         assert fast == pytest.approx(ref, rel=REL)
 
 

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro import fastpath
 from repro.models.analytical import (
     multi_master_upper_bound,
     processor_upper_bound,
@@ -126,22 +125,25 @@ class TestKernelParity:
 
 
 class TestDispatch:
-    """simulate_islands routes through the fastpath toggle."""
+    """simulate_islands runs the kernel, which reproduces the simkit
+    reference."""
 
     def test_dispatch_parity(self, timing):
         fast = simulate_islands(4, 8, 150, timing, seed=21)
-        with fastpath.disabled():
-            ref = simulate_islands(4, 8, 150, timing, seed=21)
+        ref = simulate_islands_reference(4, 8, 150, timing, seed=21)
         assert not fast.estimated and not ref.estimated
         _assert_islands_parity(ref, fast)
 
     def test_reference_path_ignores_cap(self, timing):
-        with fastpath.disabled():
-            ref = simulate_islands(
-                4, 8, 120, timing, seed=2, max_sim_islands=2
-            )
+        # The reference has no island cap: it always simulates every
+        # island, where the kernel may estimate capped-off ones.
+        capped = simulate_islands(
+            4, 8, 120, timing, seed=2, max_sim_islands=2
+        )
+        ref = simulate_islands_reference(4, 8, 120, timing, seed=2)
         assert len(ref.per_island) == 4
         assert not ref.estimated
+        assert capped.estimated
 
 
 class TestTopologyWiring:

@@ -323,7 +323,7 @@ class TestWFGProperties:
         for cls in (WFG1, WFG3, WFG4, WFG6, WFG9):
             p = cls(nobjs=3, k=4, l=6)
             z = z_norm * p.upper
-            f = p._evaluate(z)
+            f = p.evaluate(Solution(z)).objectives
             assert np.all(np.isfinite(f))
             # x_M in [0,1], shapes in [0,1], S_m = 2m.
             assert np.all(f >= -1e-9)
@@ -341,7 +341,7 @@ class TestWFGProperties:
         from repro.problems import WFG4
 
         p = WFG4(nobjs=3, k=4, l=6)
-        f = p._evaluate(p.optimal_solution(pos))
+        f = p.evaluate(Solution(p.optimal_solution(pos))).objectives
         S = 2.0 * np.arange(1, 4)
         assert np.sum((f / S) ** 2) == pytest.approx(1.0, abs=1e-9)
 
