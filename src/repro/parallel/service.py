@@ -12,9 +12,12 @@ same loop; roles are decided by a storage-level TTL lease:
   trials back into the engine (in log order -- deterministic across
   failovers), re-queues stale leases via the reclaimer, and snapshots
   full engine state into storage (the
-  :func:`repro.core.checkpoint.engine_state` serialization) at
-  epsilon-progress boundaries.  The snapshot carries the set of trial
-  ids already ingested -- the exactly-once frontier.
+  :func:`repro.core.checkpoint.engine_state` serialization) once it has
+  ingested as many trials as the last snapshot held solutions (at least
+  ``snapshot_interval``), so snapshot bytes stay a bounded share of the
+  log at any run length.  The snapshot carries a completion cursor --
+  the engine has ingested exactly the first ``cursor`` completed trials
+  in completion order, the exactly-once frontier.
 * Every process (master included) is a **worker**: claim a pending
   trial under a TTL lease, evaluate, ``tell`` the result.  ``kill -9``
   at any point loses nothing: an un-told claim expires and is
@@ -56,7 +59,7 @@ from ..core.checkpoint import engine_state, restore_engine
 from ..core.solution import Solution
 from ..problems.base import Problem
 from ..storage import RetryPolicy, StorageError, Study, StudyCache
-from ..storage.study import TRIAL_PENDING, TRIAL_RUNNING
+from ..storage.study import TRIAL_PENDING, TRIAL_RUNNING, StudyError
 
 __all__ = [
     "FleetResult",
@@ -89,8 +92,10 @@ class ServiceConfig:
     lookahead: int = 8
     #: Trial re-dispatch policy (reclaim backoff + retry budget).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Ingests between unconditional engine snapshots (epsilon-progress
-    #: boundaries additionally force one).
+    #: Floor on the ingests between engine snapshots.  A snapshot is due
+    #: once the master has ingested ``max(snapshot_interval, S)`` trials
+    #: since the last one, S being the solutions that snapshot held
+    #: (population + archive); the finishing master always writes one.
     snapshot_interval: int = 50
     #: Attempts per storage operation before giving up.
     op_attempts: int = 10
@@ -149,6 +154,11 @@ def _solution_from(record) -> Solution:
     )
 
 
+def _solution_count(engine: BorgEngine) -> int:
+    """Solutions an engine snapshot packs: population plus archive."""
+    return len(engine.population) + len(engine.archive)
+
+
 class StorageBackedRunner:
     """One process of the worker fleet (see module docstring).
 
@@ -181,9 +191,13 @@ class StorageBackedRunner:
         #: Trials this process has claimed and resolved (its share of
         #: the fleet's work); read by :class:`FleetRunner`.
         self.evaluated = 0
-        self._ingested: set[int] = set()
-        self._last_snapshot_nfe = 0
-        self._last_snapshot_improvements = -1
+        #: Completed trials ingested into ``engine``: always the prefix
+        #: ``completion_order[:_cursor]`` of the study.
+        self._cursor = 0
+        #: Cursor and solution count (population + archive) of the
+        #: latest snapshot, which set when the next one is due.
+        self._snapshot_cursor = 0
+        self._snapshot_size = 0
         self._was_master = False
         self._storage_retries = 0
 
@@ -244,60 +258,58 @@ class StorageBackedRunner:
         completed trials past the snapshot's exactly-once frontier."""
         snapshot = state.snapshot
         if snapshot is not None:
+            # Validate the frontier before an engine exists, so a bad
+            # one can never leave an engine behind to re-ingest from 0.
+            cursor = state.snapshot_cursor()
             self.engine = restore_engine(
                 self.problem, {"state": snapshot["blob"]}
             )
-            self._ingested = set(snapshot["ingested"])
-            self._last_snapshot_nfe = self.engine.nfe
-            self._last_snapshot_improvements = self.engine.archive.improvements
+            self._cursor = cursor
+            self._snapshot_size = _solution_count(self.engine)
         else:
             self.engine = BorgEngine(
                 self.problem,
                 self.config or state.meta.get("config") or BorgConfig(),
                 rng=np.random.default_rng(state.meta.get("seed")),
             )
-            self._ingested = set()
-            self._last_snapshot_nfe = 0
-            self._last_snapshot_improvements = -1
+            self._cursor = 0
+            self._snapshot_size = 0
+        self._snapshot_cursor = self._cursor
         self.engine.publisher = self.publisher
         self._catch_up_ingest()
 
     def _catch_up_ingest(self) -> int:
         """Ingest completed trials not yet folded into the engine, in
         completion-log order (deterministic across failovers)."""
-        ingested_now = 0
-        for record in self.study.completed_trials():
-            if record.trial_id in self._ingested:
-                continue
-            self.engine.ingest(_solution_from(record))
-            self._ingested.add(record.trial_id)
-            ingested_now += 1
+        state = self.study.state
+        fresh = state.completion_order[self._cursor:]
+        for trial_id in fresh:
+            self.engine.ingest(_solution_from(state.trials[trial_id]))
+            self._cursor += 1
         # Evaluations performed by other processes show up here, not in
         # this process's counter; fold them in for honest telemetry.
         self.problem.evaluations = max(self.problem.evaluations, self.engine.nfe)
-        return ingested_now
+        return len(fresh)
 
     def _maybe_snapshot(self, force: bool = False) -> None:
+        """Snapshot once the ingests since the last snapshot reach the
+        larger of ``snapshot_interval`` and that snapshot's solution
+        count.  Each trial appends ~3 ops while each snapshot solution
+        costs about one op's bytes, so snapshots stay a bounded share
+        of the log, and a failover re-ingests at most about one
+        snapshot's worth of trials."""
         engine = self.engine
-        progressed = (
-            engine.archive.improvements != self._last_snapshot_improvements
-        )
-        due = (
-            engine.nfe - self._last_snapshot_nfe
-            >= self.service.snapshot_interval
-        )
-        if not force and not (progressed and engine.nfe > self._last_snapshot_nfe) and not due:
-            return
-        if engine.nfe == self._last_snapshot_nfe and not force:
+        due = max(self.service.snapshot_interval, self._snapshot_size)
+        if not force and self._cursor - self._snapshot_cursor < due:
             return
         self._robust(
             self.study.save_snapshot,
             engine_state(engine),
-            self._ingested,
+            self._cursor,
             engine.nfe,
         )
-        self._last_snapshot_nfe = engine.nfe
-        self._last_snapshot_improvements = engine.archive.improvements
+        self._snapshot_cursor = self._cursor
+        self._snapshot_size = _solution_count(engine)
         self._emit(
             "snapshot",
             nfe=engine.nfe,
@@ -453,6 +465,8 @@ class StorageBackedRunner:
         now = time.time()
         try:
             is_master = self._try_become_master(now)
+        except StudyError:
+            raise  # a corrupt study, not a transient storage fault
         except StorageError:
             is_master = False
         if is_master and self._master_duties(max_nfe, now):
@@ -514,15 +528,13 @@ def final_front(problem: Problem, study: Study) -> Optional[BorgResult]:
     (plus any completed trials the snapshot predates).  Returns None
     for a study with no snapshot yet."""
     study.refresh()
-    snapshot = study.state.snapshot
-    if snapshot is None:
+    state = study.state
+    if state.snapshot is None:
         return None
-    engine = restore_engine(problem, {"state": snapshot["blob"]})
-    ingested = set(snapshot["ingested"])
-    for record in study.completed_trials():
-        if record.trial_id not in ingested:
-            engine.ingest(_solution_from(record))
-            ingested.add(record.trial_id)
+    cursor = state.snapshot_cursor()
+    engine = restore_engine(problem, {"state": state.snapshot["blob"]})
+    for trial_id in state.completion_order[cursor:]:
+        engine.ingest(_solution_from(state.trials[trial_id]))
     return engine.result()
 
 

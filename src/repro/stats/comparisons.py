@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["ComparisonResult", "mann_whitney", "a12_effect_size", "compare_samples"]
 
@@ -51,6 +50,8 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> float:
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 observations per sample")
+    from scipy import stats as sps
+
     return float(sps.mannwhitneyu(a, b, alternative="two-sided").pvalue)
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["Summary", "summarize", "confidence_interval", "relative_error"]
 
@@ -45,6 +44,8 @@ def confidence_interval(
     sem = float(x.std(ddof=1)) / math.sqrt(x.size)
     if sem == 0.0:
         return (m, m)
+    from scipy import stats as sps
+
     half = float(sps.t.ppf(0.5 + confidence / 2.0, df=x.size - 1)) * sem
     return (m - half, m + half)
 

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+
+# SciPy is imported inside the functions that fit or score, never at
+# module level: ``repro.problems`` imports this module for the timing
+# wrappers, and SciPy's import cost would land on every program.
 
 __all__ = [
     "Distribution",
@@ -176,6 +179,8 @@ class Normal(Distribution):
         return self.sigma**2
 
     def loglik(self, data: np.ndarray) -> float:
+        from scipy import stats as sps
+
         return float(np.sum(sps.norm.logpdf(data, self.mu, self.sigma)))
 
     @classmethod
@@ -201,7 +206,18 @@ class TruncatedNormal(Distribution):
         self.sigma = float(sigma)
         self.low = float(low)
         self._a = (self.low - self.mu) / self.sigma
-        self._dist = sps.truncnorm(self._a, np.inf, loc=self.mu, scale=self.sigma)
+        self._dist = None
+
+    def _frozen(self):
+        """The SciPy distribution, built on first use (sampling, the
+        hot path of every timed evaluation, never needs it)."""
+        if self._dist is None:
+            from scipy import stats as sps
+
+            self._dist = sps.truncnorm(
+                self._a, np.inf, loc=self.mu, scale=self.sigma
+            )
+        return self._dist
 
     @classmethod
     def from_mean_cv(cls, mean: float, cv: float) -> "TruncatedNormal":
@@ -231,14 +247,14 @@ class TruncatedNormal(Distribution):
 
     @property
     def mean(self) -> float:
-        return float(self._dist.mean())
+        return float(self._frozen().mean())
 
     @property
     def variance(self) -> float:
-        return float(self._dist.var())
+        return float(self._frozen().var())
 
     def loglik(self, data: np.ndarray) -> float:
-        return float(np.sum(self._dist.logpdf(data)))
+        return float(np.sum(self._frozen().logpdf(data)))
 
     @classmethod
     def fit(cls, data: Sequence[float]) -> "TruncatedNormal":
@@ -282,6 +298,8 @@ class LogNormal(Distribution):
         return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
 
     def loglik(self, data: np.ndarray) -> float:
+        from scipy import stats as sps
+
         return float(
             np.sum(sps.lognorm.logpdf(data, s=self.sigma, scale=math.exp(self.mu)))
         )
@@ -325,6 +343,8 @@ class Gamma(Distribution):
         return self.shape * self.scale**2
 
     def loglik(self, data: np.ndarray) -> float:
+        from scipy import stats as sps
+
         return float(np.sum(sps.gamma.logpdf(data, a=self.shape, scale=self.scale)))
 
     @classmethod
@@ -332,6 +352,8 @@ class Gamma(Distribution):
         data = np.asarray(data, dtype=float)
         if np.any(data <= 0):
             raise ValueError("gamma requires positive data")
+        from scipy import stats as sps
+
         a, _loc, scale = sps.gamma.fit(data, floc=0.0)
         return cls(a, scale)
 
@@ -363,6 +385,8 @@ class Exponential(Distribution):
         return 1
 
     def loglik(self, data: np.ndarray) -> float:
+        from scipy import stats as sps
+
         return float(np.sum(sps.expon.logpdf(data, scale=self._mean)))
 
     @classmethod
@@ -396,6 +420,8 @@ class Weibull(Distribution):
         return self.scale**2 * (g2 - g1**2)
 
     def loglik(self, data: np.ndarray) -> float:
+        from scipy import stats as sps
+
         return float(
             np.sum(sps.weibull_min.logpdf(data, c=self.shape, scale=self.scale))
         )
@@ -405,6 +431,8 @@ class Weibull(Distribution):
         data = np.asarray(data, dtype=float)
         if np.any(data <= 0):
             raise ValueError("weibull requires positive data")
+        from scipy import stats as sps
+
         c, _loc, scale = sps.weibull_min.fit(data, floc=0.0)
         return cls(c, scale)
 

@@ -269,6 +269,14 @@ class JournalStorage(StorageBackend):
         #: this instance has decoded (re-validated against file size).
         self._pos = 0
         self._seq = 0
+        self._decoded_tail: list = []
+        self._tail_base_seq = 0
+        #: Guards the scan cursor above: readers advance it without the
+        #: writer lock, writers advance it under that lock.  A leaf lock
+        #: (nothing else is acquired while it is held), so a reader
+        #: holding a cache mutex can take it while a writer holding
+        #: ``_tlock`` waits for that mutex, without deadlock.
+        self._cursor_lock = threading.RLock()
         #: Persistent write handle (lazily opened, re-opened after fork).
         self._wfh = None
         self._wpid: Optional[int] = None
@@ -349,7 +357,8 @@ class JournalStorage(StorageBackend):
     def _refresh_cache(self) -> None:
         """Advance the clean-scan cache over any bytes appended since
         the last scan (full rescan if the file shrank under us -- a
-        writer truncated a torn tail we had already skipped)."""
+        writer truncated a torn tail we had already skipped).  Callers
+        hold ``_cursor_lock``."""
         size = os.path.getsize(self.path)
         if size < self._pos:
             self._pos = 0
@@ -363,12 +372,13 @@ class JournalStorage(StorageBackend):
 
     def read(self, from_seq: int = 0) -> list[tuple[int, dict]]:
         self.read_calls += 1
-        self._refresh_cache()
-        if from_seq >= self._tail_base_seq:
-            tail = self._decoded_tail[from_seq - self._tail_base_seq :]
-            return [
-                (from_seq + i, op) for i, op in enumerate(tail)
-            ]
+        with self._cursor_lock:
+            self._refresh_cache()
+            if from_seq >= self._tail_base_seq:
+                tail = self._decoded_tail[from_seq - self._tail_base_seq :]
+                return [
+                    (from_seq + i, op) for i, op in enumerate(tail)
+                ]
         # Cold read (a fresh consumer behind our cache): rescan the file.
         ops, _ = scan_all(self._read_from(0))
         return [(i, op) for i, op in enumerate(ops) if i >= from_seq]
@@ -397,8 +407,8 @@ class JournalStorage(StorageBackend):
         return self._wfh
 
     def _truncate_torn_tail(self) -> int:
-        """With the lock held: drop any torn bytes at the tail; returns
-        the number of bytes truncated."""
+        """With the lock and ``_cursor_lock`` held: drop any torn bytes
+        at the tail; returns the number of bytes truncated."""
         size = os.path.getsize(self.path)
         if size == self._pos:
             # Fast path (the steady-state append): the file ends exactly
@@ -424,7 +434,7 @@ class JournalStorage(StorageBackend):
         """Write framed records under the lock; flush to the OS but do
         not fsync.  Returns the seq of the last written op."""
         encoded = b"".join(encode_record(op) for op in ops)
-        with self.lock():
+        with self.lock(), self._cursor_lock:
             self._truncate_torn_tail()
             fh = self._write_handle()
             fh.seek(self._pos)
@@ -498,7 +508,7 @@ class JournalStorage(StorageBackend):
         Equivalent to what every append does implicitly; exposed so
         operators (and tests) can heal a journal without writing to it.
         """
-        with self.lock():
+        with self.lock(), self._cursor_lock:
             torn = self._truncate_torn_tail()
             return self._seq, torn
 
@@ -512,7 +522,7 @@ class JournalStorage(StorageBackend):
         """
         rec = encode_record(op)
         cut = max(1, min(len(rec) - 1, int(len(rec) * fraction)))
-        with self.lock():
+        with self.lock(), self._cursor_lock:
             self._truncate_torn_tail()
             fh = self._write_handle()
             fh.seek(self._pos)
@@ -536,5 +546,6 @@ class JournalStorage(StorageBackend):
         self._lock_fd = None
 
     def __len__(self) -> int:
-        self._refresh_cache()
-        return self._seq
+        with self._cursor_lock:
+            self._refresh_cache()
+            return self._seq

@@ -67,6 +67,7 @@ TRIAL_RUNNING = "running"
 TRIAL_COMPLETE = "complete"
 TRIAL_FAILED = "failed"
 
+_STATES = (TRIAL_PENDING, TRIAL_RUNNING, TRIAL_COMPLETE, TRIAL_FAILED)
 _TERMINAL = frozenset((TRIAL_COMPLETE, TRIAL_FAILED))
 
 
@@ -109,7 +110,9 @@ class StudyState:
     trials: dict[int, TrialRecord] = field(default_factory=dict)
     #: Named TTL leases (``"master"`` elects the engine-owning process).
     leases: dict[str, tuple[str, float]] = field(default_factory=dict)
-    #: Latest engine snapshot op (blob + ingested ids + nfe), or None.
+    #: Latest engine snapshot op (blob + completion cursor + nfe), or
+    #: None.  Journals written before the cursor carry the ingested id
+    #: list instead; :meth:`snapshot_cursor` reads either shape.
     snapshot: Optional[dict] = None
     snapshot_seq: int = -1
     completed: int = 0
@@ -128,17 +131,59 @@ class StudyState:
     #: exactly that expiry; renewals and completions invalidate old
     #: entries in place.
     lease_heap: list = field(default_factory=list, repr=False, compare=False)
+    #: Trial ids in completion (log) order, appended by the ``complete``
+    #: fold.  Derived like ``lease_heap``: the exactly-once frontier of
+    #: an engine is a prefix of this list, so one int locates it.
+    completion_order: list = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: Ids of the trials currently PENDING (claim candidates), and the
+    #: number of trials in each state -- derived indexes kept by
+    #: :func:`_move`, so per-step reads do not scan every trial.
+    pending: set = field(default_factory=set, repr=False, compare=False)
+    by_state: dict = field(
+        default_factory=lambda: dict.fromkeys(_STATES, 0),
+        repr=False,
+        compare=False,
+    )
 
     def counts(self) -> dict[str, int]:
-        by_state = {
-            TRIAL_PENDING: 0,
-            TRIAL_RUNNING: 0,
-            TRIAL_COMPLETE: 0,
-            TRIAL_FAILED: 0,
-        }
-        for record in self.trials.values():
-            by_state[record.state] += 1
-        return by_state
+        return dict(self.by_state)
+
+    def snapshot_cursor(self) -> int:
+        """Completed trials the latest snapshot's engine has ingested:
+        it holds exactly ``completion_order[:cursor]``.
+
+        A legacy snapshot op carries the ingested trial ids instead;
+        they must be a completion-order prefix (the only thing a master
+        ever ingested), else :class:`StudyError` -- re-ingesting from a
+        guessed cursor would silently double-count evaluations."""
+        snapshot = self.snapshot
+        if snapshot is None:
+            return 0
+        if "cursor" in snapshot:
+            return snapshot["cursor"]
+        ids = snapshot["ingested"]
+        cursor = len(ids)
+        if set(ids) != set(self.completion_order[:cursor]):
+            raise StudyError(
+                f"study {self.name!r}: snapshot's ingested ids are not a "
+                f"prefix of the completion order"
+            )
+        return cursor
+
+
+def _move(state: StudyState, record: TrialRecord, new: str) -> None:
+    """The one trial-state transition: keeps ``by_state`` and
+    ``pending`` in step with ``record.state``."""
+    old = record.state
+    state.by_state[old] -= 1
+    state.by_state[new] += 1
+    if old == TRIAL_PENDING:
+        state.pending.discard(record.trial_id)
+    if new == TRIAL_PENDING:
+        state.pending.add(record.trial_id)
+    record.state = new
 
 
 def _apply(state: StudyState, seq: int, op: dict) -> None:
@@ -158,10 +203,12 @@ def _apply(state: StudyState, seq: int, op: dict) -> None:
                 variables=np.asarray(op["variables"], dtype=float),
                 operator=op.get("operator", "service"),
             )
+            state.by_state[TRIAL_PENDING] += 1
+            state.pending.add(tid)
     elif kind == "claim":
         record = state.trials.get(op["trial"])
         if record is not None and record.state not in _TERMINAL:
-            record.state = TRIAL_RUNNING
+            _move(state, record, TRIAL_RUNNING)
             record.worker = op["worker"]
             record.lease_expires = op["expires"]
             record.attempts += 1
@@ -196,7 +243,8 @@ def _apply(state: StudyState, seq: int, op: dict) -> None:
         if record.state in _TERMINAL:
             state.duplicate_tells += 1
             return
-        record.state = TRIAL_COMPLETE
+        _move(state, record, TRIAL_COMPLETE)
+        state.completion_order.append(record.trial_id)
         record.objectives = np.asarray(op["objectives"], dtype=float)
         record.constraints = (
             None
@@ -212,7 +260,7 @@ def _apply(state: StudyState, seq: int, op: dict) -> None:
     elif kind == "requeue":
         record = state.trials.get(op["trial"])
         if record is not None and record.state not in _TERMINAL:
-            record.state = TRIAL_PENDING
+            _move(state, record, TRIAL_PENDING)
             record.worker = None
             record.lease_expires = None
             record.not_before = op["not_before"]
@@ -221,7 +269,7 @@ def _apply(state: StudyState, seq: int, op: dict) -> None:
     elif kind == "deadletter":
         record = state.trials.get(op["trial"])
         if record is not None and record.state not in _TERMINAL:
-            record.state = TRIAL_FAILED
+            _move(state, record, TRIAL_FAILED)
             record.worker = None
             record.lease_expires = None
             record.error = op.get("reason")
@@ -232,9 +280,10 @@ def _apply(state: StudyState, seq: int, op: dict) -> None:
         else:
             state.leases[op["key"]] = (op["worker"], op["expires"])
     elif kind == "snapshot":
+        frontier = "cursor" if "cursor" in op else "ingested"
         state.snapshot = {
             "blob": op["blob"],
-            "ingested": op["ingested"],
+            frontier: op[frontier],
             "nfe": op["nfe"],
         }
         state.snapshot_seq = seq
@@ -413,11 +462,13 @@ class Study:
         with self.storage.lock():
             self.refresh()
             ops: list[dict] = []
-            for tid in sorted(self.state.trials):
+            # Only PENDING trials can be claimed: sort that index (at
+            # most the lookahead plus re-queued trials), not every trial.
+            for tid in sorted(self.state.pending):
                 if len(ops) >= limit:
                     break
                 record = self.state.trials[tid]
-                if record.state == TRIAL_PENDING and record.not_before <= now:
+                if record.not_before <= now:
                     ops.append(
                         {
                             "op": "claim",
@@ -680,20 +731,25 @@ class Study:
         return held[0]
 
     # -- engine snapshots ----------------------------------------------------
-    def save_snapshot(
-        self, blob: dict, ingested: Sequence[int], nfe: int
-    ) -> None:
+    def save_snapshot(self, blob: dict, cursor: int, nfe: int) -> None:
         """Persist the master's engine state (a plain
         :func:`repro.core.checkpoint.engine_state` dict) together with
-        the set of trial ids it has ingested -- the exactly-once
-        frontier a failover master resumes from."""
+        its completion cursor: the engine has ingested exactly the first
+        ``cursor`` completed trials in completion order -- the
+        exactly-once frontier a failover master resumes from."""
+        cursor = int(cursor)
         with self.storage.lock():
             self.refresh()
+            if not 0 <= cursor <= len(self.state.completion_order):
+                raise StudyError(
+                    f"snapshot cursor {cursor} outside the "
+                    f"{len(self.state.completion_order)} completed trials"
+                )
             self._append(
                 {
                     "op": "snapshot",
                     "blob": blob,
-                    "ingested": sorted(int(i) for i in ingested),
+                    "cursor": cursor,
                     "nfe": int(nfe),
                 }
             )
@@ -714,12 +770,8 @@ class Study:
     def completed_trials(self) -> list[TrialRecord]:
         """Completed trials in completion (log) order -- the order a
         failover master re-ingests them in."""
-        done = [
-            r for r in self.state.trials.values()
-            if r.state == TRIAL_COMPLETE
-        ]
-        done.sort(key=lambda r: r.completed_seq)
-        return done
+        trials = self.state.trials
+        return [trials[tid] for tid in self.state.completion_order]
 
     def dump_state(self) -> bytes:
         """Canonical byte serialization of the folded state, for

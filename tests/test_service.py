@@ -339,6 +339,96 @@ class TestSigkill:
         storage.close()
 
 
+class TestLegacySnapshot:
+    """Journals written before the completion cursor carry the sorted
+    ingested trial ids in each snapshot op.  They must restore to the
+    same engine as the cursor op, and a list that is not a prefix of
+    the completion order must fail loudly, never double-ingest."""
+
+    def _run_ops(self, tmp_path, service_config, small_config):
+        """Ops of a finished study, cut just before its final snapshot,
+        so the latest snapshot predates some completions; plus the
+        study's completion order."""
+        storage = _make_study(tmp_path / "run.journal", 90)
+        study = Study.load(storage, "s")
+        runner = StorageBackedRunner(
+            _small_problem(), study, config=small_config,
+            service=service_config,
+        )
+        assert runner.run().finished
+        ops = [op for _, op in storage.read(0)]
+        storage.close()
+        last = max(i for i, op in enumerate(ops) if op["op"] == "snapshot")
+        return ops[:last], list(study.state.completion_order)
+
+    @staticmethod
+    def _legacy(ops, order, shift=0):
+        """The same ops with each snapshot's cursor written the old way:
+        the sorted ids of the trials its engine had ingested."""
+        out = []
+        for op in ops:
+            if op["op"] == "snapshot":
+                op = dict(op)
+                cursor = op.pop("cursor")
+                op["ingested"] = sorted(order[shift:cursor + shift])
+            out.append(op)
+        return out
+
+    @staticmethod
+    def _load(path, ops):
+        storage = open_storage(path)
+        storage.append(ops)
+        return storage, Study.load(storage, "s")
+
+    def test_legacy_ingested_list_restores_identically(
+        self, tmp_path, service_config, small_config
+    ):
+        ops, order = self._run_ops(tmp_path, service_config, small_config)
+        fronts = {}
+        for name, variant in (
+            ("cursor", ops), ("legacy", self._legacy(ops, order))
+        ):
+            storage, study = self._load(tmp_path / f"{name}.journal", variant)
+            state = study.state
+            assert ("ingested" in state.snapshot) == (name == "legacy")
+            assert 0 < state.snapshot_cursor() < state.completed
+            front = final_front(_small_problem(), study)
+            heir = StorageBackedRunner(
+                _small_problem(), study, service=service_config,
+                worker_id="heir",
+            )
+            heir._restore_engine(state)  # failover: restore + catch-up
+            assert heir._cursor == state.completed == front.nfe
+            failover = np.asarray(heir.engine.result().objectives)
+            assert failover.tobytes() == np.asarray(front.objectives).tobytes()
+            fronts[name] = failover.tobytes()
+            storage.close()
+        assert fronts["legacy"] == fronts["cursor"]
+
+    def test_non_prefix_ingested_list_raises(
+        self, tmp_path, service_config, small_config
+    ):
+        from repro.storage import StudyError
+
+        ops, order = self._run_ops(tmp_path, service_config, small_config)
+        storage, study = self._load(
+            tmp_path / "bad.journal", self._legacy(ops, order, shift=1)
+        )
+        with pytest.raises(StudyError):
+            study.state.snapshot_cursor()
+        with pytest.raises(StudyError):
+            final_front(_small_problem(), study)
+        # A would-be failover master stops loudly instead of guessing.
+        heir = StorageBackedRunner(
+            _small_problem(), study, service=service_config,
+            worker_id="heir",
+        )
+        with pytest.raises(StudyError):
+            heir.run(max_seconds=30.0)
+        assert heir.engine is None
+        storage.close()
+
+
 class TestBatchedIngest:
     def test_claim_batch_reaches_exact_nfe(
         self, tmp_path, service_config, small_config

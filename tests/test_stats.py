@@ -316,3 +316,55 @@ class TestComparisons:
         rng = np.random.default_rng(3)
         s = str(compare_samples(rng.normal(size=10), rng.normal(size=10)))
         assert "A12" in s
+
+
+class TestImportCost:
+    """SciPy loads only when something fits or tests: importing the
+    package, or a timed solve, must not pay its ~1 s import."""
+
+    @staticmethod
+    def _scipy_free(code: str) -> None:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            code
+            + "\nimport sys\n"
+            + "loaded = sorted(m for m in sys.modules"
+            + " if m.split('.')[0] == 'scipy')\n"
+            + "assert not loaded, loaded[:5]\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        self._scipy_free("import repro, repro.parallel")
+
+    def test_timed_solve_leaves_scipy_unloaded(self):
+        self._scipy_free(
+            "from repro.core import BorgMOEA\n"
+            "from repro.problems import DTLZ2\n"
+            "from repro.problems.delays import TimedProblem\n"
+            "problem = TimedProblem(DTLZ2(nobjs=3), 0.001, cv=0.1,"
+            " real_delay=False, seed=1)\n"
+            "result = BorgMOEA(problem, seed=1).run(max_nfe=300)\n"
+            "assert result.nfe == 300\n"
+        )
+
+    def test_truncated_normal_moments_build_lazily(self):
+        d = TruncatedNormal.from_mean_cv(0.01, 0.1)
+        assert d._dist is None
+        assert d.mean == pytest.approx(0.01, rel=1e-6)
+        assert d._dist is not None

@@ -13,11 +13,14 @@ The crash-safety contract under test (docs/RESILIENCE.md §6):
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.storage import (
     FaultyStorage,
@@ -326,9 +329,16 @@ class TestStudyLifecycle:
         assert study.lease_holder("master", now=21.0) is None
 
     def test_snapshot_roundtrip(self, study):
-        study.save_snapshot({"nfe": 3}, ingested=[2, 0, 1], nfe=3)
+        for tid in study.enqueue_many([np.zeros(2)] * 3):
+            study.claim("w0", ttl=60.0, now=0.0)
+            study.tell(tid, "w0", np.zeros(2))
+        study.save_snapshot({"nfe": 3}, cursor=3, nfe=3)
         snap = study.state.snapshot
-        assert snap["nfe"] == 3 and snap["ingested"] == [0, 1, 2]
+        assert snap["nfe"] == 3 and snap["cursor"] == 3
+        assert study.state.snapshot_cursor() == 3
+        # A cursor past the completed trials is no frontier.
+        with pytest.raises(StudyError):
+            study.save_snapshot({"nfe": 4}, cursor=4, nfe=4)
 
     def test_finish_is_idempotent(self, study):
         study.finish()
@@ -360,11 +370,16 @@ class TestReplayParity:
         assert study.tell(0, "w0", rng.random(2)) is False
         study.fail(2, "w1", "boom", retry, now=7.0)
         study.acquire_lease("master", "w1", ttl=60.0, now=7.0)
-        study.save_snapshot({"x": 1}, ingested=[0, 1], nfe=2)
+        study.save_snapshot({"x": 1}, cursor=2, nfe=2)
         study.finish()
 
         replayed = Study.load(backend, "s")
         assert replayed.dump_state() == study.dump_state()
+        # The fold's derived indexes stay out of the canonical bytes:
+        # this lifecycle renders exactly as it did before they existed.
+        assert hashlib.sha256(study.dump_state()).hexdigest() == (
+            "549695310d6442a73227a6bc6ac03adc62e50c8fe037f243d8006daaef2228aa"
+        )
         backend.close()
 
     def test_journal_cold_process_parity(self, tmp_path):
@@ -381,6 +396,114 @@ class TestReplayParity:
         cold = Study.load(JournalStorage(path), "s")
         assert cold.dump_state() == study.dump_state()
         backend.close()
+
+
+def _assert_fold_indexes(state) -> None:
+    """The fold's derived indexes equal full scans of the trials."""
+    scan = dict.fromkeys(("pending", "running", "complete", "failed"), 0)
+    for record in state.trials.values():
+        scan[record.state] += 1
+    assert state.counts() == scan
+    assert state.pending == {
+        tid for tid, r in state.trials.items() if r.state == "pending"
+    }
+    done = sorted(
+        (r for r in state.trials.values() if r.state == "complete"),
+        key=lambda r: r.completed_seq,
+    )
+    assert state.completion_order == [r.trial_id for r in done]
+
+
+def _lifecycle_steps(study, rng):
+    """The replay-parity lifecycle plus heartbeats, a duplicate tell, a
+    requeue of a still-PENDING trial and a dead-letter, one callable
+    per compound op."""
+    retry = RetryPolicy(budget=3, backoff_base=0.0)
+    strict = RetryPolicy(budget=1, backoff_base=0.0)
+    return [
+        lambda: study.enqueue_many(
+            [rng.random(4) for _ in range(6)], operator="sbx"
+        ),
+        lambda: study.claim("w0", ttl=1.0, now=0.0),
+        lambda: study.claim_many("w1", ttl=60.0, limit=2, now=0.0),
+        lambda: study.heartbeat(1, "w1", ttl=60.0, now=0.5),
+        lambda: study.heartbeat_many([1, 2], "w1", ttl=60.0, now=0.6),
+        lambda: study.reclaim_stale(retry, now=5.0),
+        lambda: study.claim("w2", ttl=60.0, now=6.0),
+        lambda: study.tell(1, "w1", rng.random(2)),
+        lambda: study.tell(0, "w2", rng.random(2)),
+        lambda: study.tell(0, "w0", rng.random(2)),  # duplicate
+        lambda: study.fail(3, "w1", "never claimed", retry, now=6.5),
+        lambda: study.fail(2, "w1", "boom", strict, now=7.0),
+        lambda: study.tell(5, "w3", rng.random(2)),  # unclaimed win
+        lambda: study.acquire_lease("master", "w1", ttl=60.0, now=7.0),
+        lambda: study.save_snapshot({"x": 1}, cursor=3, nfe=3),
+        lambda: study.finish(),
+    ]
+
+
+class TestFoldIndexes:
+    """The incremental counts, pending set and completion order agree
+    with full scans after every op, live and on cold replay."""
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_indexes_match_scans_after_every_op(self, kind, tmp_path):
+        backend = make_storage(kind, tmp_path)
+        study = Study.create(backend, "s", meta={"seed": 3})
+        for step in _lifecycle_steps(study, np.random.default_rng(5)):
+            step()
+            _assert_fold_indexes(study.state)
+            cold = Study.load(backend, "s")
+            _assert_fold_indexes(cold.state)
+            assert cold.state.completion_order == study.state.completion_order
+            assert cold.dump_state() == study.dump_state()
+        assert study.state.completion_order == [1, 0, 5]
+        assert study.state.counts()["failed"] == 1
+        backend.close()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["enqueue", "claim", "heartbeat", "tell", "fail",
+                     "reclaim"]
+                ),
+                st.integers(0, 63),
+                st.integers(1, 3),
+            ),
+            max_size=40,
+        )
+    )
+    def test_random_op_sequences(self, script):
+        backend = InMemoryStorage()
+        study = Study.create(backend, "s")
+        retry = RetryPolicy(budget=2, backoff_base=0.5)
+        now = 0.0
+        for kind, pick, k in script:
+            now += 0.4
+            tids = sorted(study.state.trials)
+            tid = tids[pick % len(tids)] if tids else None
+            if kind == "enqueue" or tid is None:
+                study.enqueue_many([np.full(2, pick)] * k)
+            elif kind == "claim":
+                study.claim_many(f"w{k}", ttl=float(k), limit=k, now=now)
+            elif kind == "heartbeat":
+                study.heartbeat_many(
+                    tids[pick % len(tids):][:k], f"w{k}", ttl=2.0, now=now
+                )
+            elif kind == "tell":  # duplicates included: terminal trials
+                study.tell(tid, f"w{k}", np.array([now, float(pick)]))
+            elif kind == "fail":
+                study.fail(tid, f"w{k}", "boom", retry, now=now)
+            else:
+                study.reclaim_stale(retry, now=now)
+            _assert_fold_indexes(study.state)
+        cold = Study.load(backend, "s")
+        _assert_fold_indexes(cold.state)
+        assert cold.state.completion_order == study.state.completion_order
+        assert cold.dump_state() == study.dump_state()
 
 
 class TestFaultyStorage:
