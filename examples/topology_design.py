@@ -6,22 +6,27 @@ Given a processor allocation and a workload, this example:
 1. uses the simulation model to size master-slave instances for peak
    efficiency (the hierarchical-topology recommendation of §VI);
 2. runs a single monolithic master-slave and the recommended
-   multi-master topology on the virtual cluster and compares solution
-   quality at equal resource-time;
+   multi-master topology (independent instances, archives merged at
+   the end) on the virtual cluster and compares solution quality at
+   equal resource-time;
 3. previews the paper's future work (§VII): an island model with
-   periodic archive migration.
+   periodic ring migration.
+
+Both topologies run on the sharded island runtime
+(``run_sharded_islands``); ``migration_interval=math.inf`` turns
+migration off.
 
     python examples/topology_design.py [--processors 256] [--tf 0.001]
 """
 
 import argparse
+import math
 
 from repro.core import BorgConfig
 from repro.indicators import NormalizedHypervolume
 from repro.parallel import (
     run_async_master_slave,
-    run_island_model,
-    run_multi_master,
+    run_sharded_islands,
     suggest_partition,
 )
 from repro.problems import DTLZ2
@@ -62,9 +67,10 @@ def main() -> None:
     )
 
     per_instance_nfe = max(1, args.nfe // max(1, plan.instances))
-    multi = run_multi_master(
-        lambda: DTLZ2(nobjs=5), plan, per_instance_nfe, timing,
-        config=config, seed=args.seed,
+    multi = run_sharded_islands(
+        lambda: DTLZ2(nobjs=5), plan.instances, plan.processors_per_instance,
+        per_instance_nfe, timing, config=config, seed=args.seed,
+        migration_interval=math.inf,
     )
     print(
         f"Multi-master {plan.instances} x P={plan.processors_per_instance}: "
@@ -79,7 +85,7 @@ def main() -> None:
 
     # 3. Island-model preview (§VII future work).
     islands = max(2, min(4, plan.instances))
-    island = run_island_model(
+    island = run_sharded_islands(
         lambda: DTLZ2(nobjs=5),
         islands=islands,
         processors_per_island=plan.processors_per_instance,
@@ -87,6 +93,7 @@ def main() -> None:
         timing=timing,
         config=config,
         seed=args.seed,
+        topology="ring",
     )
     print(
         f"Island model {islands} x P={plan.processors_per_instance} "

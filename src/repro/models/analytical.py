@@ -113,14 +113,18 @@ def multi_master_upper_bound(
         raise ValueError("need at least one island")
     if migrants < 1:
         raise ValueError("migrants must be >= 1")
+    # Same rule as fastsim.resolve_migration_interval: NaN is rejected
+    # with the non-positive values, math.inf is "no migration".
+    if not migration_interval > 0:
+        raise ValueError(
+            f"migration_interval must be positive, got {migration_interval!r}"
+        )
     single = processor_upper_bound(tf, tc, ta)
     if not math.isfinite(single):
         return math.inf
     if math.isinf(migration_interval) or (in_degree == 0 and out_degree == 0):
         overhead = 0.0
     else:
-        if migration_interval <= 0:
-            raise ValueError("migration_interval must be positive")
         cost = (out_degree + in_degree) * tc + in_degree * migrants * ta
         overhead = cost / migration_interval
     capacity = max(0.0, 1.0 - overhead)

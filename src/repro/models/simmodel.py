@@ -345,9 +345,9 @@ def simulate_islands_reference(
     from .fastsim import (
         _island_groups,
         _island_timings,
-        default_migration_interval,
         island_seed_streams,
         migration_degrees,
+        resolve_migration_interval,
     )
 
     if islands < 1:
@@ -361,13 +361,10 @@ def simulate_islands_reference(
 
     timings = _island_timings(timing, islands)
     in_deg, out_deg = migration_degrees(topology, islands)
-    if migration_interval is None:
-        migration_interval = default_migration_interval(
-            processors_per_island, max_nfe_per_island, timings[0]
-        )
-    interval = float(migration_interval)
-    if interval <= 0:
-        raise ValueError("migration_interval must be positive")
+    interval = resolve_migration_interval(
+        migration_interval, processors_per_island, max_nfe_per_island,
+        timings[0],
+    )
 
     env = Environment()
     streams = island_seed_streams(seed, islands)

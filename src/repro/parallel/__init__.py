@@ -6,8 +6,9 @@ Backends:
   :func:`run_sync_master_slave`) -- the Ranger-scale experiments;
 * threads / processes -- real local parallelism;
 * MPI (:mod:`repro.parallel.mpi`) -- cluster deployment via mpi4py;
-* topologies (:mod:`repro.parallel.topology`) -- hierarchical
-  multi-master sizing and the island-model preview;
+* multi-master (:mod:`repro.parallel.islands`) -- sharded islands,
+  with or without migration, sized by
+  :func:`~repro.parallel.topology.suggest_partition`;
 * storage-backed service (:mod:`repro.parallel.service`) -- durable
   studies co-driven by independent worker processes over
   :mod:`repro.storage`.
@@ -27,12 +28,8 @@ from .supervision import FaultStats, NoLiveWorkersError, SupervisorConfig
 from .threads import run_threaded_master_slave
 from .processes import run_process_master_slave
 from .topology import (
-    IslandResult,
-    MultiMasterResult,
     TopologyPlan,
     default_partition_candidates,
-    run_island_model,
-    run_multi_master,
     suggest_partition,
 )
 from .virtual import run_async_master_slave, run_sync_master_slave
@@ -51,10 +48,6 @@ __all__ = [
     "TopologyPlan",
     "default_partition_candidates",
     "suggest_partition",
-    "MultiMasterResult",
-    "run_multi_master",
-    "IslandResult",
-    "run_island_model",
     "IslandShard",
     "ShardedRunResult",
     "run_sharded_islands",

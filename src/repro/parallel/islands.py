@@ -70,10 +70,10 @@ from ..core.checkpoint import (
 from ..core.solution import Solution
 from ..models.fastsim import (
     MIGRATION_TOPOLOGIES,
-    default_migration_interval,
     island_seed_streams,
     migration_degrees,
     migration_links,
+    resolve_migration_interval,
 )
 from ..stats.timing import TimingModel, TimingSampler
 from .supervision import FaultStats, NoLiveWorkersError
@@ -423,13 +423,10 @@ def run_sharded_islands(
             raise ValueError(
                 f"expected {islands} per-island timing models, got {len(timings)}"
             )
-    if migration_interval is None:
-        migration_interval = default_migration_interval(
-            processors_per_island, max_nfe_per_island, timings[0]
-        )
-    interval = float(migration_interval)
-    if interval <= 0:
-        raise ValueError("migration_interval must be positive")
+    interval = resolve_migration_interval(
+        migration_interval, processors_per_island, max_nfe_per_island,
+        timings[0],
+    )
 
     links = migration_links(topology, islands)
     in_deg, out_deg = migration_degrees(topology, islands)

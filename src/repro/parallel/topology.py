@@ -1,47 +1,40 @@
-"""Parallel topology design: hierarchical multi-master and island models.
+"""Parallel topology design: sizing a multi-master allocation (§VI).
 
 Paper §VI observes that when P is large and TF small, a single
 master-slave instance saturates its master, and suggests running
 several smaller concurrently-running master-slave instances sized with
 the simulation model; §VII names the adaptive island model as future
-work.  This module implements both:
+work.  :func:`suggest_partition` uses the simulation model to choose
+the per-instance processor count that maximises efficiency, then packs
+the available processors with instances of that size.
 
-* :func:`suggest_partition` -- uses the simulation model to choose the
-  per-instance processor count that maximises efficiency, then packs
-  the available processors with instances of that size;
-* :func:`run_multi_master` -- concurrent independent master-slave
-  instances whose epsilon-archives are merged at the end;
-* :func:`run_island_model` -- the future-work preview: instances run in
-  a single virtual clock and periodically exchange archive members
-  around a ring.
+Both topologies run on the one multi-master runtime,
+:func:`repro.parallel.islands.run_sharded_islands`:
+``migration_interval=math.inf`` runs the plan's instances independently
+and merges their archives at the end (§VI); a finite interval (the
+default heuristic when ``None``) with ``topology="ring"`` is the §VII
+island model::
+
+    plan = suggest_partition(256, timing)
+    result = run_sharded_islands(
+        factory, plan.instances, plan.processors_per_instance, nfe,
+        timing, migration_interval=math.inf,
+    )
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ..core.archive import EpsilonBoxArchive
-from ..core.borg import BorgConfig, BorgEngine
 from ..models.analytical import serial_time
-from ..models.fastsim import island_seed_streams
 from ..models.simmodel import predict_async_time
-from ..problems.base import Problem
-from ..simkit import Environment, Resource
-from ..stats.timing import TimingModel, TimingSampler
-from .results import ParallelRunResult
-from .virtual import run_async_master_slave
+from ..stats.timing import TimingModel
 
 __all__ = [
     "TopologyPlan",
     "default_partition_candidates",
     "suggest_partition",
-    "run_multi_master",
-    "MultiMasterResult",
-    "run_island_model",
-    "IslandResult",
 ]
 
 
@@ -134,208 +127,3 @@ def suggest_partition(
             f"no candidate instance size fits {total_processors} processors"
         )
     return best
-
-
-@dataclass
-class MultiMasterResult:
-    """Outcome of several concurrent independent instances."""
-
-    instances: list[ParallelRunResult]
-    #: Union archive of all instances under the shared epsilons.
-    merged_archive: EpsilonBoxArchive
-    #: Wall time of the topology = the slowest instance.
-    elapsed: float
-    total_nfe: int
-
-    @property
-    def merged_objectives(self) -> np.ndarray:
-        return self.merged_archive.objectives
-
-
-def run_multi_master(
-    problem_factory,
-    plan: TopologyPlan,
-    max_nfe_per_instance: int,
-    timing: TimingModel,
-    config: Optional[BorgConfig] = None,
-    seed: int = 0,
-) -> MultiMasterResult:
-    """Run ``plan.instances`` independent virtual master-slave Borgs and
-    merge their archives.
-
-    ``problem_factory()`` must build a fresh problem per instance (the
-    evaluation counters are per-instance).
-    """
-    results = []
-    for i in range(plan.instances):
-        problem = problem_factory()
-        results.append(
-            run_async_master_slave(
-                problem,
-                plan.processors_per_instance,
-                max_nfe_per_instance,
-                timing,
-                config=config,
-                seed=seed + 7919 * i,
-            )
-        )
-    if not results:
-        raise ValueError("plan contains no instances")
-    epsilons = results[0].borg.archive.epsilons
-    merged = EpsilonBoxArchive(epsilons)
-    # Bulk merge: one indexed batch insert per instance archive instead
-    # of an offer loop (parity-tested against the sequential merge in
-    # tests/test_parallel_topology.py).
-    for r in results:
-        merged.add_all(list(r.borg.archive))
-    return MultiMasterResult(
-        instances=results,
-        merged_archive=merged,
-        elapsed=max(r.elapsed for r in results),
-        total_nfe=sum(r.nfe for r in results),
-    )
-
-
-@dataclass
-class IslandResult:
-    """Outcome of the island-model run."""
-
-    elapsed: float
-    total_nfe: int
-    islands: int
-    processors_per_island: int
-    migrations: int
-    merged_archive: EpsilonBoxArchive
-    per_island_nfe: list[int] = field(default_factory=list)
-
-    @property
-    def merged_objectives(self) -> np.ndarray:
-        return self.merged_archive.objectives
-
-
-def run_island_model(
-    problem_factory,
-    islands: int,
-    processors_per_island: int,
-    max_nfe_per_island: int,
-    timing: TimingModel,
-    config: Optional[BorgConfig] = None,
-    seed: int = 0,
-    migration_interval: Optional[float] = None,
-) -> IslandResult:
-    """Island-model Borg on one shared virtual clock (§VII preview).
-
-    Each island is a full asynchronous master-slave instance; every
-    ``migration_interval`` virtual seconds each island sends a random
-    archive member to the next island around a ring, where it is
-    ingested as if freshly evaluated (cost-free abstraction: migration
-    messages are assumed to overlap with evaluation; the sharded
-    runtime :func:`repro.parallel.islands.run_sharded_islands` charges
-    real exchange costs).
-
-    Randomness follows the per-island ``SeedSequence.spawn`` layout of
-    :func:`repro.models.fastsim.island_seed_streams`: every island
-    draws its timing, migration, and engine streams from its own
-    children, so island *i*'s trajectory is a pure function of
-    ``(seed, i)`` -- reproducible and interleaving-invariant no matter
-    how many islands share the clock.
-    """
-    if islands < 1:
-        raise ValueError("need at least one island")
-    if processors_per_island < 2:
-        raise ValueError("each island needs a master and a worker")
-    env = Environment()
-    streams = island_seed_streams(seed, islands)
-    samplers = [TimingSampler(timing, streams[i][0]) for i in range(islands)]
-    migration_rngs = [np.random.default_rng(streams[i][1]) for i in range(islands)]
-    problems = [problem_factory() for _ in range(islands)]
-    engines = [
-        BorgEngine(
-            problems[i],
-            config or BorgConfig(),
-            rng=np.random.default_rng(streams[i][2]),
-        )
-        for i in range(islands)
-    ]
-    masters = [Resource(env, capacity=1) for _ in range(islands)]
-    done_events = [env.event() for _ in range(islands)]
-    migrations = {"count": 0}
-
-    if migration_interval is None:
-        # A handful of migration epochs per run by default.
-        horizon_guess = (
-            max_nfe_per_island
-            / max(1, processors_per_island - 1)
-            * (timing.mean_tf + 2 * timing.mean_tc + timing.mean_ta)
-        )
-        migration_interval = max(horizon_guess / 8.0, 1e-9)
-
-    def worker(env, island: int, wid: int):
-        engine = engines[island]
-        problem = problems[island]
-        master = masters[island]
-        done = done_events[island]
-        sampler = samplers[island]
-        with master.request() as req:
-            yield req
-            yield env.timeout(sampler.ta() + sampler.tc())
-            candidate = engine.next_candidate()
-        while not done.triggered:
-            yield env.timeout(sampler.tf())
-            problem.evaluate(candidate)
-            with master.request() as req:
-                yield req
-                if done.triggered:
-                    return
-                yield env.timeout(sampler.tc() + sampler.ta() + sampler.tc())
-                engine.ingest(candidate)
-                if engine.nfe >= max_nfe_per_island:
-                    if not done.triggered:
-                        done.succeed(env.now)
-                    return
-                candidate = engine.next_candidate()
-
-    def migrator(env):
-        all_done = env.all_of(done_events)
-        while not all_done.triggered:
-            yield env.timeout(migration_interval)
-            for i, engine in enumerate(engines):
-                if len(engine.archive) == 0:
-                    continue
-                neighbour_id = (i + 1) % islands
-                neighbour = engines[neighbour_id]
-                # Sender samples with its own migration stream; the
-                # receiver's stream drives its replacement decision.
-                migrant = engine.archive.sample(migration_rngs[i]).copy()
-                migrant.operator = "migration"
-                # Insert directly: a migrant is already evaluated, so it
-                # must not advance the neighbour's NFE budget.
-                if len(neighbour.population):
-                    neighbour.population.add(migrant, migration_rngs[neighbour_id])
-                else:
-                    neighbour.population.append(migrant)
-                neighbour.archive.add(migrant)
-                migrations["count"] += 1
-
-    for i in range(islands):
-        for w in range(processors_per_island - 1):
-            env.process(worker(env, i, w), name=f"island{i}-worker{w}")
-    if islands > 1:
-        env.process(migrator(env), name="migrator")
-    finished = env.all_of(done_events)
-    env.run(until=finished)
-    elapsed = env.now
-
-    merged = EpsilonBoxArchive(engines[0].archive.epsilons)
-    for engine in engines:
-        for solution in engine.archive:
-            merged.add(solution)
-    return IslandResult(
-        elapsed=float(elapsed),
-        total_nfe=sum(e.nfe for e in engines),
-        islands=islands,
-        processors_per_island=processors_per_island,
-        migrations=migrations["count"],
-        merged_archive=merged,
-        per_island_nfe=[e.nfe for e in engines],
-    )

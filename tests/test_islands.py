@@ -7,6 +7,8 @@ archive fed the union of all shard archives -- fuzz-tested across
 M in {2, 4, 8} crossed with all three topologies.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,17 @@ class TestMergeEquivalence:
 class TestKernelTimingParity:
     """The runtime's clockwork replays the fastsim kernel exactly."""
 
-    @pytest.mark.parametrize("topology", ["ring", "full", "hier"])
-    def test_timing_matches_kernel(self, config, timing, topology):
+    @pytest.mark.parametrize(
+        "topology, interval",
+        [
+            pytest.param("ring", None, id="ring"),
+            pytest.param("full", None, id="full"),
+            pytest.param("hier", None, id="hier"),
+            # No migration: independent instances merged at the end.
+            pytest.param("ring", math.inf, id="ring-inf"),
+        ],
+    )
+    def test_timing_matches_kernel(self, config, timing, topology, interval):
         islands, ppi, nfe = 3, 4, 200
         run = run_sharded_islands(
             factory,
@@ -94,11 +105,16 @@ class TestKernelTimingParity:
             timing,
             config=config,
             seed=31,
+            migration_interval=interval,
             topology=topology,
         )
         sim = simulate_islands_fast(
-            islands, ppi, nfe, timing, topology=topology, seed=31
+            islands, ppi, nfe, timing, migration_interval=interval,
+            topology=topology, seed=31,
         )
+        if interval == math.inf:
+            assert run.epochs == 0 and run.migrations == 0
+            assert sim.migration_services == (0,) * islands
         assert run.elapsed == sim.elapsed
         assert run.total_nfe == sim.nfe
         for shard, island in zip(run.shards, sim.per_island):
@@ -203,6 +219,13 @@ class TestEdgesAndValidation:
             run_sharded_islands(
                 factory, 2, 4, 100, timing, config=config,
                 migration_interval=-1.0,
+            )
+        with pytest.raises(ValueError):
+            # A NaN epoch never arrives; the stop keeps a missing check
+            # from looping forever.
+            run_sharded_islands(
+                factory, 2, 4, 100, timing, config=config,
+                migration_interval=math.nan, stop_after_epochs=1,
             )
         with pytest.raises(ValueError):
             run_sharded_islands(

@@ -59,16 +59,28 @@ def _assert_islands_parity(ref, fast):
 class TestKernelParity:
     """Kernel vs simkit reference: bit-identical on shared seeds."""
 
-    @pytest.mark.parametrize("topology", MIGRATION_TOPOLOGIES)
-    @pytest.mark.parametrize("islands", [2, 4, 8])
-    def test_matches_reference(self, timing, topology, islands):
+    @pytest.mark.parametrize(
+        "islands, topology, interval",
+        [
+            pytest.param(m, t, None, id=f"{m}-{t}")
+            for m in (2, 4, 8)
+            for t in MIGRATION_TOPOLOGIES
+        ]
+        # No migration: independent instances merged at the end.
+        + [pytest.param(4, "ring", math.inf, id="4-ring-inf")],
+    )
+    def test_matches_reference(self, timing, topology, islands, interval):
         fast = simulate_islands_fast(
-            islands, 8, 150, timing, topology=topology, seed=9
+            islands, 8, 150, timing, migration_interval=interval,
+            topology=topology, seed=9,
         )
         ref = simulate_islands_reference(
-            islands, 8, 150, timing, topology=topology, seed=9
+            islands, 8, 150, timing, migration_interval=interval,
+            topology=topology, seed=9,
         )
         _assert_islands_parity(ref, fast)
+        if interval == math.inf:
+            assert fast.migration_services == (0,) * islands
 
     def test_single_island_matches_reference(self, timing):
         fast = simulate_islands_fast(1, 8, 200, timing, seed=3)
@@ -118,6 +130,14 @@ class TestKernelParity:
             simulate_islands_fast(2, 8, 100, timing, migrants=0)
         with pytest.raises(ValueError):
             simulate_islands_fast(2, 8, 100, timing, migration_interval=0.0)
+        with pytest.raises(ValueError):
+            simulate_islands_fast(
+                2, 8, 100, timing, migration_interval=math.nan
+            )
+        with pytest.raises(ValueError):
+            simulate_islands_reference(
+                2, 8, 100, timing, migration_interval=math.nan
+            )
         with pytest.raises(ValueError):
             simulate_islands_fast(2, 8, 100, timing, topology="torus")
         with pytest.raises(ValueError):
@@ -282,6 +302,12 @@ class TestMultiMasterBound:
                 0.1, self.TC, self.TA, 2,
                 migration_interval=-1.0, in_degree=1, out_degree=1,
             )
+        for degree in (0, 1):
+            with pytest.raises(ValueError):
+                multi_master_upper_bound(
+                    0.1, self.TC, self.TA, 2, migration_interval=math.nan,
+                    in_degree=degree, out_degree=degree,
+                )
 
 
 class TestPrediction:

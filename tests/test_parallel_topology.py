@@ -1,4 +1,8 @@
-"""Tests for topology planning, multi-master and island extensions."""
+"""Tests for topology planning, and for running a plan as independent
+instances (``migration_interval=math.inf``) or as a ring island model
+on the sharded runtime."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +11,7 @@ from repro.core import BorgConfig, EpsilonBoxArchive
 from repro.parallel import (
     TopologyPlan,
     default_partition_candidates,
-    run_island_model,
-    run_multi_master,
+    run_sharded_islands,
     suggest_partition,
 )
 from repro.problems import DTLZ2
@@ -92,28 +95,37 @@ class TestSuggestPartition:
         assert "4 instance(s)" in str(plan)
 
 
+def run_plan(plan, nfe, timing, config, seed=0):
+    """Run a plan's instances independently: no migration epochs."""
+    return run_sharded_islands(
+        factory, plan.instances, plan.processors_per_instance, nfe, timing,
+        config=config, seed=seed, migration_interval=math.inf,
+    )
+
+
 class TestMultiMaster:
     def test_merged_archive_combines_instances(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
         plan = TopologyPlan(32, 2, 16, 0.9, 0)
-        result = run_multi_master(factory, plan, 600, tm, config=config, seed=1)
-        assert len(result.instances) == 2
+        result = run_plan(plan, 600, tm, config, seed=1)
+        assert len(result.shards) == 2
         assert result.total_nfe == 1200
+        assert result.epochs == 0 and result.migrations == 0
         assert len(result.merged_archive) > 0
         assert result.merged_objectives.shape[1] == 2
 
     def test_elapsed_is_slowest_instance(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
         plan = TopologyPlan(32, 2, 16, 0.9, 0)
-        result = run_multi_master(factory, plan, 400, tm, config=config, seed=2)
+        result = run_plan(plan, 400, tm, config, seed=2)
         assert result.elapsed == pytest.approx(
-            max(r.elapsed for r in result.instances)
+            max(s.elapsed for s in result.shards)
         )
 
     def test_merged_archive_nondominated(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
         plan = TopologyPlan(48, 3, 16, 0.9, 0)
-        result = run_multi_master(factory, plan, 500, tm, config=config, seed=3)
+        result = run_plan(plan, 500, tm, config, seed=3)
         F = result.merged_objectives
         boxes = np.floor(F / 0.02)
         for i in range(len(F)):
@@ -129,10 +141,10 @@ class TestMultiMaster:
         # identical to the old per-solution offer loop.
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
         plan = TopologyPlan(48, 3, 16, 0.9, 0)
-        result = run_multi_master(factory, plan, 500, tm, config=config, seed=9)
+        result = run_plan(plan, 500, tm, config, seed=9)
         sequential = EpsilonBoxArchive(result.merged_archive.epsilons)
-        for r in result.instances:
-            for solution in r.borg.archive:
+        for shard in result.shards:
+            for solution in shard.result.archive:
                 sequential.add(solution)
         F_bulk = np.asarray(result.merged_objectives, dtype=float)
         F_seq = np.asarray(sequential.objectives, dtype=float)
@@ -145,49 +157,50 @@ class TestMultiMaster:
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
         plan = TopologyPlan(8, 0, 16, 0.9, 8)
         with pytest.raises(ValueError):
-            run_multi_master(factory, plan, 100, tm, config=config)
+            run_plan(plan, 100, tm, config)
 
 
 class TestIslandModel:
     def test_runs_all_islands_to_budget(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
-        result = run_island_model(
+        result = run_sharded_islands(
             factory, islands=2, processors_per_island=4,
             max_nfe_per_island=300, timing=tm, config=config, seed=4,
+            topology="ring",
         )
-        assert result.per_island_nfe == [300, 300]
+        assert [s.nfe for s in result.shards] == [300, 300]
         assert result.total_nfe == 600
         assert result.elapsed > 0
 
     def test_migrations_happen(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
-        result = run_island_model(
+        result = run_sharded_islands(
             factory, islands=3, processors_per_island=4,
             max_nfe_per_island=400, timing=tm, config=config, seed=5,
+            topology="ring",
         )
         assert result.migrations > 0
         assert len(result.merged_archive) > 0
 
     def test_single_island_no_migration(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
-        result = run_island_model(
+        result = run_sharded_islands(
             factory, islands=1, processors_per_island=4,
             max_nfe_per_island=200, timing=tm, config=config, seed=6,
+            topology="ring",
         )
         assert result.migrations == 0
 
     def test_reproducible_per_island_streams(self, config):
-        # Satellite contract: per-island SeedSequence children make the
-        # run a pure function of (seed, island count).
+        # Per-island SeedSequence children make the run a pure function
+        # of (seed, island count).
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
-        a = run_island_model(
-            factory, islands=3, processors_per_island=4,
-            max_nfe_per_island=300, timing=tm, config=config, seed=8,
+        kwargs = dict(
+            islands=3, processors_per_island=4, max_nfe_per_island=300,
+            timing=tm, config=config, seed=8, topology="ring",
         )
-        b = run_island_model(
-            factory, islands=3, processors_per_island=4,
-            max_nfe_per_island=300, timing=tm, config=config, seed=8,
-        )
+        a = run_sharded_islands(factory, **kwargs)
+        b = run_sharded_islands(factory, **kwargs)
         assert a.elapsed == b.elapsed
         assert a.migrations == b.migrations
         Fa = np.asarray(a.merged_objectives, dtype=float)
@@ -197,8 +210,10 @@ class TestIslandModel:
     def test_validation(self, config):
         tm = constant_timing(tf=0.01, tc=6e-6, ta=29e-6)
         with pytest.raises(ValueError):
-            run_island_model(factory, islands=0, processors_per_island=4,
-                             max_nfe_per_island=10, timing=tm, config=config)
+            run_sharded_islands(factory, islands=0, processors_per_island=4,
+                                max_nfe_per_island=10, timing=tm,
+                                config=config)
         with pytest.raises(ValueError):
-            run_island_model(factory, islands=2, processors_per_island=1,
-                             max_nfe_per_island=10, timing=tm, config=config)
+            run_sharded_islands(factory, islands=2, processors_per_island=1,
+                                max_nfe_per_island=10, timing=tm,
+                                config=config)
