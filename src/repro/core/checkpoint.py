@@ -171,6 +171,37 @@ def _atomic_pickle(payload: dict, path: str | os.PathLike) -> None:
         raise
 
 
+def _save_envelope(
+    path: str | os.PathLike, fmt: str, version: int, meta: dict, state: dict
+) -> None:
+    """Atomically write ``state`` in the ``{format, version, meta,
+    state}`` envelope every checkpoint kind shares."""
+    meta = {"written_at": time.time(), **meta}
+    envelope = {"format": fmt, "version": version, "meta": meta, "state": state}
+    _atomic_pickle(envelope, path)
+
+
+def _load_envelope(
+    path: str | os.PathLike, fmt: str, version: int, kind: str
+) -> dict:
+    """Read a checkpoint envelope, refusing unreadable files and any
+    format or version other than (``fmt``, ``version``)."""
+    try:
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise CheckpointError(f"{path!r} is not a repro {kind} checkpoint")
+    found = payload.get("version")
+    if found != version:
+        raise CheckpointError(
+            f"{kind} checkpoint version {found!r} is not supported "
+            f"(this build reads version {version})"
+        )
+    return payload
+
+
 def save_checkpoint(
     engine: "BorgEngine",
     path: str | os.PathLike,
@@ -178,17 +209,11 @@ def save_checkpoint(
     meta: Optional[dict] = None,
 ) -> None:
     """Atomically write a checkpoint of ``engine`` to ``path``."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "meta": {
-            "problem": engine.problem.name,
-            "written_at": time.time(),
-            **(meta or {}),
-        },
-        "state": engine_state(engine, extra_pending=extra_pending),
-    }
-    _atomic_pickle(payload, path)
+    _save_envelope(
+        path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+        {"problem": engine.problem.name, **(meta or {})},
+        engine_state(engine, extra_pending=extra_pending),
+    )
 
 
 def save_islands_checkpoint(
@@ -206,52 +231,22 @@ def save_islands_checkpoint(
     front.  Everything is plain picklable data -- which is exactly why
     the runtime checkpoints *at* epoch barriers.
     """
-    payload = {
-        "format": ISLANDS_CHECKPOINT_FORMAT,
-        "version": ISLANDS_CHECKPOINT_VERSION,
-        "meta": {"written_at": time.time(), **(meta or {})},
-        "state": state,
-    }
-    _atomic_pickle(payload, path)
+    _save_envelope(
+        path, ISLANDS_CHECKPOINT_FORMAT, ISLANDS_CHECKPOINT_VERSION,
+        meta or {}, state,
+    )
 
 
 def load_islands_checkpoint(path: str | os.PathLike) -> dict:
     """Load and validate a multi-island checkpoint payload."""
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != ISLANDS_CHECKPOINT_FORMAT
-    ):
-        raise CheckpointError(f"{path!r} is not a repro islands checkpoint")
-    version = payload.get("version")
-    if version != ISLANDS_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"islands checkpoint version {version!r} is not supported "
-            f"(this build reads version {ISLANDS_CHECKPOINT_VERSION})"
-        )
-    return payload
+    return _load_envelope(
+        path, ISLANDS_CHECKPOINT_FORMAT, ISLANDS_CHECKPOINT_VERSION, "islands"
+    )
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict:
     """Load and validate a checkpoint; returns the full payload dict."""
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path!r} is not a repro Borg checkpoint")
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version!r} is not supported "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-    return payload
+    return _load_envelope(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, "Borg")
 
 
 # -- restore ----------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..simkit import Environment, Interrupt, Resource
-from ..stats.timing import TimingModel
+from ..stats.timing import TimingModel, TimingSampler
 
 __all__ = [
     "ChaosSummary",
@@ -164,7 +164,9 @@ def simulate_async_with_failures(
 
     env = Environment()
     master = Resource(env, capacity=1)
-    rng = np.random.default_rng(seed)
+    # Costs come from the same per-component streams as the no-failure
+    # model; failures and repairs draw from their own generator.
+    sampler = TimingSampler(timing, seed)
     frng = np.random.default_rng(None if seed is None else seed + 0xFA17)
     done = env.event()
     stats = {
@@ -194,19 +196,15 @@ def simulate_async_with_failures(
                     yield req
                     if done.triggered:
                         return
-                    yield env.timeout(
-                        timing.sample_ta(rng) + timing.sample_tc(rng)
-                    )
+                    yield env.timeout(sampler.ta() + sampler.tc())
                 while not done.triggered:
-                    yield env.timeout(timing.sample_tf(rng))
+                    yield env.timeout(sampler.tf())
                     with master.request() as req:
                         yield req
                         if done.triggered:
                             return
                         yield env.timeout(
-                            timing.sample_tc(rng)
-                            + timing.sample_ta(rng)
-                            + timing.sample_tc(rng)
+                            sampler.tc() + sampler.ta() + sampler.tc()
                         )
                         stats["nfe"] += 1
                         if stats["nfe"] >= max_nfe:

@@ -10,28 +10,23 @@ passes through a live :class:`~repro.core.archive.EpsilonBoxArchive`
 via the bulk-insert API, and the final merge bulk-inserts every shard's
 archive into a fresh one.
 
-The runtime shares its clockwork with the fastsim multi-master kernel
+Each island master is a :class:`~repro.parallel.virtual._Master`, the
+same FIFO-master recurrence as the virtual-clock runners, so the
+runtime shares its clockwork with the fastsim multi-master kernel
 (:func:`repro.models.fastsim.simulate_islands_fast`) and the simkit
-reference (:func:`repro.models.simmodel.simulate_islands_reference`):
-
-* each island master is a FIFO server running the grant/completion
-  recurrence ``g = max(master_free, a); c = g + hold`` over a heap of
-  worker arrivals, with the same draw-order contract (initial service
-  TA,TC; steady service TC,TA,TC; one TF per completion except the
-  done-triggering one);
-* at every global epoch ``T_k = k * migration_interval`` a migration
-  exchange joins each live master's queue, holding it for out-degree TC
-  draws (sends), in-degree TC draws (receives) and ``in_degree *
-  migrants`` TA draws (ingests), drawn at service time in that order.
-  The hold is charged even when a sender's archive happens to be empty,
-  so island *timing* is a pure function of (seed, topology, budget) and
-  never of archive content -- which is what makes a run's elapsed /
-  busy / checkpoint times bit-identical to the kernel's on a shared
-  seed;
-* randomness comes from :func:`repro.models.fastsim.island_seed_streams`:
-  per-island (timing, migration, engine) ``SeedSequence`` children, so
-  island *i*'s trajectory is reproducible and interleaving-invariant
-  for any M.
+reference (:func:`repro.models.simmodel.simulate_islands_reference`).
+At every global epoch ``T_k = k * migration_interval`` a migration
+exchange joins each live master's queue, holding it for out-degree TC
+draws (sends), in-degree TC draws (receives) and ``in_degree *
+migrants`` TA draws (ingests), drawn at service time in that order.
+The hold is charged even when a sender's archive happens to be empty,
+so island *timing* is a pure function of (seed, topology, budget) and
+never of archive content -- which is what makes a run's elapsed / busy
+/ checkpoint times bit-identical to the kernel's on a shared seed.
+Randomness comes from :func:`repro.models.fastsim.island_seed_streams`:
+per-island (timing, migration, engine) ``SeedSequence`` children, so
+island *i*'s trajectory is reproducible and interleaving-invariant for
+any M.
 
 Migration *content* is resolved at the epoch barrier: after every live
 island has served all arrivals before ``T_k``, each live sender samples
@@ -51,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -69,7 +64,7 @@ from ..core.checkpoint import (
 )
 from ..core.solution import Solution
 from ..models.fastsim import (
-    MIGRATION_TOPOLOGIES,
+    _island_timings,
     island_seed_streams,
     migration_degrees,
     migration_links,
@@ -77,6 +72,7 @@ from ..models.fastsim import (
 )
 from ..stats.timing import TimingModel, TimingSampler
 from .supervision import FaultStats, NoLiveWorkersError
+from .virtual import _Master
 
 __all__ = [
     "IslandShard",
@@ -139,156 +135,40 @@ class ShardedRunResult:
         return self.merged_archive.objectives
 
 
-class _IslandState:
-    """All mutable per-island runtime state (plain data at barriers)."""
-
-    __slots__ = (
-        "index",
-        "engine",
-        "problem",
-        "sampler",
-        "migration_rng",
-        "in_deg",
-        "out_deg",
-        "heap",
-        "inflight",
-        "initial_left",
-        "master_free",
-        "busy",
-        "done",
-        "elapsed",
-        "checkpoints",
-        "exchanges",
-        "draws",
-    )
-
-    def __init__(self, index, engine, problem, sampler, migration_rng, in_deg, out_deg, workers):
-        self.index = index
-        self.engine = engine
-        self.problem = problem
-        self.sampler = sampler
-        self.migration_rng = migration_rng
-        self.in_deg = in_deg
-        self.out_deg = out_deg
-        self.heap: list[tuple[float, int]] = [(0.0, w) for w in range(workers)]
-        self.inflight: dict[int, Solution] = {}
-        self.initial_left = workers
-        self.master_free = 0.0
-        self.busy = 0.0
-        self.done = False
-        self.elapsed = 0.0
-        self.checkpoints: list[tuple[int, float]] = []
-        self.exchanges = 0
-        #: Per-component draw counts [tf, tc, ta]; a resumed sampler is
-        #: fast-forwarded to these positions (streams are pure functions
-        #: of (seed, position)).
-        self.draws = [0, 0, 0]
-
-    # Counted draws keep the sampler resumable without serializing it.
-    def tf(self) -> float:
-        self.draws[0] += 1
-        return self.sampler.tf()
-
-    def tc(self) -> float:
-        self.draws[1] += 1
-        return self.sampler.tc()
-
-    def ta(self) -> float:
-        self.draws[2] += 1
-        return self.sampler.ta()
-
-
-def _serve_until(st: _IslandState, limit: float, max_nfe: int, quarter: int) -> None:
-    """Serve every worker arrival strictly before ``limit`` (the next
-    migration epoch), FIFO, stopping early when the island's NFE budget
-    completes.  Identical clockwork to the kernel's ``_island_recurrence``
-    worker branch, with the real algorithm doing the work inside each
-    hold."""
-    heap = st.heap
-    engine = st.engine
-    while not st.done and heap and heap[0][0] < limit:
-        a, wid = heappop(heap)
-        g = st.master_free if st.master_free > a else a
-        if st.initial_left > 0:
-            # Initial dispatch: master generates (TA) and sends (TC).
-            hold = st.ta() + st.tc()
-            st.initial_left -= 1
-            c = g + hold
-            st.master_free = c
-            st.busy += hold
-            st.inflight[wid] = engine.next_candidate()
-        else:
-            # Steady state: receive (TC), process (TA), send (TC).
-            hold = st.tc() + st.ta() + st.tc()
-            c = g + hold
-            st.master_free = c
-            st.busy += hold
-            candidate = st.inflight[wid]
-            if not candidate.evaluated:
-                st.problem.evaluate(candidate)
-            engine.ingest(candidate)
-            if engine.nfe % quarter == 0:
-                st.checkpoints.append((engine.nfe, c))
-            if engine.nfe >= max_nfe:
-                st.done = True
-                st.elapsed = c
-                return
-            st.inflight[wid] = engine.next_candidate()
-        # Completion: the worker draws its next TF and re-arrives.
-        heappush(heap, (c + st.tf(), wid))
-
-
 def _serve_or_retire(
-    st: _IslandState,
-    limit: float,
-    max_nfe: int,
-    quarter: int,
-    faults: FaultStats,
-    publisher=None,
+    master: _Master, index: int, limit: float, max_nfe: int, quarter: int,
+    faults: FaultStats, publisher=None,
 ) -> None:
-    """Serve like :func:`_serve_until`, but degrade gracefully when the
-    island's whole worker pool dies: retire the island at the clock it
-    reached, drop its in-flight work, and keep its partial archive
-    shard for the global merge.  The surviving islands carry on."""
+    """Serve every arrival before ``limit`` (see
+    :meth:`~repro.parallel.virtual._Master.serve_until`), but degrade
+    gracefully when the island's whole worker pool dies: retire the
+    island at the clock it reached, drop its in-flight work, and keep
+    its partial archive shard for the global merge.  The surviving
+    islands carry on."""
     try:
-        _serve_until(st, limit, max_nfe, quarter)
+        master.serve_until(limit, max_nfe, quarter)
     except NoLiveWorkersError:
-        st.done = True
-        st.elapsed = st.master_free
-        st.inflight.clear()
-        st.heap.clear()
+        master.done = True
+        master.elapsed = master.master_free
+        master.inflight.clear()
+        master.heap.clear()
         faults.islands_retired += 1
         if publisher is not None:
             publisher.emit(
-                "island-retired", island=st.index, nfe=st.engine.nfe
+                "island-retired", island=index, nfe=master.engine.nfe
             )
 
 
-def _charge_exchange(st: _IslandState, epoch_time: float, migrants: int) -> None:
-    """Serve the migration-exchange request that joined ``st``'s queue
-    at the epoch boundary: out-degree TC (sends), in-degree TC
-    (receives), in-degree * migrants TA (ingests), in that draw order."""
-    hold = 0.0
-    for _ in range(st.out_deg):
-        hold += st.tc()
-    for _ in range(st.in_deg):
-        hold += st.tc()
-    for _ in range(st.in_deg * migrants):
-        hold += st.ta()
-    g = st.master_free if st.master_free > epoch_time else epoch_time
-    st.master_free = g + hold
-    st.busy += hold
-    st.exchanges += 1
+#: Per-island master fields a checkpoint stores as they are.
+_SCALARS = (
+    "initial_left", "master_free", "busy", "done", "elapsed", "exchanges",
+)
 
 
 def _snapshot(
-    states: list[_IslandState],
-    global_front: EpsilonBoxArchive,
-    meta: dict,
-    epoch_index: int,
-    next_epoch: float,
-    migrations: int,
-    front_history: list[tuple[int, int]],
+    states: list[_Master], migration_rngs: list[np.random.Generator],
+    global_front: EpsilonBoxArchive, meta: dict, epoch_index: int,
+    next_epoch: float, migrations: int, front_history: list[tuple[int, int]],
 ) -> dict:
     """Pack the full multi-island runtime state as plain data."""
     return {
@@ -305,64 +185,45 @@ def _snapshot(
             {
                 "engine": engine_state(st.engine),
                 "heap": list(st.heap),
+                # Islands dispatch one candidate per message.
                 "inflight": {
-                    wid: _pack_solution(s) for wid, s in st.inflight.items()
+                    wid: _pack_solution(s) for wid, (s,) in st.inflight.items()
                 },
-                "initial_left": st.initial_left,
-                "master_free": st.master_free,
-                "busy": st.busy,
-                "done": st.done,
-                "elapsed": st.elapsed,
                 "checkpoints": list(st.checkpoints),
-                "exchanges": st.exchanges,
                 "draws": list(st.draws),
-                "migration_rng_state": st.migration_rng.bit_generator.state,
+                "migration_rng_state": rng.bit_generator.state,
+                **{key: getattr(st, key) for key in _SCALARS},
             }
-            for st in states
+            for st, rng in zip(states, migration_rngs)
         ],
     }
 
 
 def _restore_island(
-    spec: dict,
-    index: int,
-    problem,
-    sampler: TimingSampler,
-    in_deg: int,
-    out_deg: int,
-    workers: int,
-) -> _IslandState:
-    """Rebuild one island's runtime state from a checkpoint entry."""
+    spec: dict, problem, sampler: TimingSampler, workers: int
+) -> tuple[_Master, np.random.Generator]:
+    """Rebuild one island's master and migration stream from a
+    checkpoint entry."""
     engine = restore_engine(problem, {"state": spec["engine"]})
     migration_rng = np.random.default_rng()
     migration_rng.bit_generator.state = spec["migration_rng_state"]
-    st = _IslandState(
-        index, engine, problem, sampler, migration_rng, in_deg, out_deg, workers
-    )
+    st = _Master(engine, sampler, workers)
     st.heap = [(float(t), int(w)) for t, w in spec["heap"]]
     heapify(st.heap)
     st.inflight = {
-        int(w): _unpack_solution(d) for w, d in spec["inflight"].items()
+        int(w): [_unpack_solution(d)] for w, d in spec["inflight"].items()
     }
-    st.initial_left = spec["initial_left"]
-    st.master_free = spec["master_free"]
-    st.busy = spec["busy"]
-    st.done = spec["done"]
-    st.elapsed = spec["elapsed"]
+    for key in _SCALARS:
+        setattr(st, key, spec[key])
     st.checkpoints = [(int(n), float(t)) for n, t in spec["checkpoints"]]
-    st.exchanges = spec["exchanges"]
     st.draws = list(spec["draws"])
     # Fast-forward the timing streams: each component's k-th draw is a
     # pure function of (seed, k), so discarding the consumed prefix
     # resumes the stream bit-identically.
-    n_tf, n_tc, n_ta = st.draws
-    if n_tf:
-        sampler.tf_array(n_tf)
-    if n_tc:
-        sampler.tc_array(n_tc)
-    if n_ta:
-        sampler.ta_array(n_ta)
-    return st
+    skips = (sampler.tf_array, sampler.tc_array, sampler.ta_array)
+    for n, skip in zip(st.draws, skips):
+        skip(n)
+    return st, migration_rng
 
 
 def run_sharded_islands(
@@ -394,7 +255,9 @@ def run_sharded_islands(
     the run geometry and refuses a mismatch).  ``stop_after_epochs``
     halts after that many *further* migration epochs and returns a
     partial result (``completed=False``) -- the hook the checkpoint
-    tests use to stop a run mid-flight.
+    tests use to stop a run mid-flight.  Both act at epoch barriers, so
+    a run without epochs (one island, no links, or an infinite
+    ``migration_interval``) refuses them with :class:`ValueError`.
 
     ``publisher`` (a :class:`repro.telemetry.EventBus` or compatible)
     receives one ``migration`` event per completed epoch and an
@@ -402,33 +265,29 @@ def run_sharded_islands(
     Timestamps are wall clock -- the virtual simulation clock rides in
     the event payload instead.
     """
-    if islands < 1:
-        raise ValueError("need at least one island")
+    # Validates ``islands`` and ``topology``.
+    links = migration_links(topology, islands)
     if processors_per_island < 2:
         raise ValueError("each island needs a master and a worker")
     if max_nfe_per_island < 1:
         raise ValueError("max_nfe_per_island must be >= 1")
     if migrants < 1:
         raise ValueError("migrants must be >= 1")
-    if topology not in MIGRATION_TOPOLOGIES:
-        raise ValueError(
-            f"unknown topology {topology!r}; expected one of {MIGRATION_TOPOLOGIES}"
-        )
 
-    if isinstance(timing, TimingModel):
-        timings = [timing] * islands
-    else:
-        timings = list(timing)
-        if len(timings) != islands:
-            raise ValueError(
-                f"expected {islands} per-island timing models, got {len(timings)}"
-            )
+    timings = _island_timings(timing, islands)
     interval = resolve_migration_interval(
         migration_interval, processors_per_island, max_nfe_per_island,
         timings[0],
     )
+    if (checkpoint is not None or stop_after_epochs is not None) and (
+        not links or math.isinf(interval)
+    ):
+        raise ValueError(
+            "checkpoint= and stop_after_epochs= act at migration epochs, "
+            "and this run has none (one island, no topology links, or "
+            "migration_interval=math.inf)"
+        )
 
-    links = migration_links(topology, islands)
     in_deg, out_deg = migration_degrees(topology, islands)
     workers = processors_per_island - 1
     quarter = max(1, max_nfe_per_island // 4)
@@ -457,18 +316,10 @@ def run_sharded_islands(
                 f"checkpoint geometry {geometry} does not match the "
                 f"requested run {meta}"
             )
-        states = [
-            _restore_island(
-                spec,
-                i,
-                problems[i],
-                samplers[i],
-                int(in_deg[i]),
-                int(out_deg[i]),
-                workers,
-            )
+        states, migration_rngs = map(list, zip(*(
+            _restore_island(spec, problems[i], samplers[i], workers)
             for i, spec in enumerate(payload["state"]["islands"])
-        ]
+        )))
         epoch_index = payload["state"]["epoch_index"]
         next_epoch = payload["state"]["next_epoch"]
         migrations = payload["state"]["migrations"]
@@ -481,116 +332,96 @@ def run_sharded_islands(
             [_unpack_solution(d) for d in gf_spec["solutions"]]
         )
     else:
-        states = [
-            _IslandState(
-                i,
-                BorgEngine(
-                    problems[i],
-                    config or BorgConfig(),
-                    rng=np.random.default_rng(streams[i][2]),
-                ),
-                problems[i],
-                samplers[i],
-                np.random.default_rng(streams[i][1]),
-                int(in_deg[i]),
-                int(out_deg[i]),
-                workers,
-            )
-            for i in range(islands)
+        engines = [
+            BorgEngine(p, config or BorgConfig(), rng=np.random.default_rng(s[2]))
+            for p, s in zip(problems, streams)
         ]
-        epoch_index = 0
-        next_epoch = interval
-        migrations = 0
+        states = [_Master(e, s, workers) for e, s in zip(engines, samplers)]
+        migration_rngs = [np.random.default_rng(s[1]) for s in streams]
+        epoch_index, next_epoch, migrations = 0, interval, 0
         front_history = []
         global_front = EpsilonBoxArchive(states[0].engine.archive.epsilons)
 
     epochs_this_call = 0
     completed = True
     faults = FaultStats()
-    if not links:
-        # Single island (or no topology links): no epochs, run to done.
-        for st in states:
+    while True:
+        # Without links there are no epochs: every island runs to done.
+        limit = next_epoch if links else math.inf
+        for i, st in enumerate(states):
             if not st.done:
                 _serve_or_retire(
-                    st, math.inf, max_nfe_per_island, quarter, faults,
+                    st, i, limit, max_nfe_per_island, quarter, faults,
                     publisher=publisher,
                 )
-    else:
-        while any(not st.done for st in states):
-            for st in states:
-                if not st.done:
-                    _serve_or_retire(
-                        st, next_epoch, max_nfe_per_island, quarter, faults,
-                        publisher=publisher,
-                    )
-            if all(st.done for st in states):
-                break
+        if all(st.done for st in states):
+            break
 
-            # -- migration epoch T_k: content first (simultaneous
-            # exchange of pre-epoch state), then the timing charge.
-            outgoing: list[tuple[int, Solution]] = []
-            for src, dst in links:
-                sender = states[src]
-                if sender.done or states[dst].done:
-                    continue
-                if len(sender.engine.archive) == 0:
-                    continue
-                for _ in range(migrants):
-                    migrant = sender.engine.archive.sample(
-                        sender.migration_rng
-                    ).copy()
-                    migrant.operator = "migration"
-                    outgoing.append((dst, migrant))
-            for st in states:
-                if not st.done:
-                    _charge_exchange(st, next_epoch, migrants)
-            for dst, migrant in outgoing:
-                receiver = states[dst]
-                engine = receiver.engine
-                # Migrants are already evaluated: inserted directly, no
-                # NFE charged to the receiver's budget.
-                if len(engine.population):
-                    engine.population.add(migrant, receiver.migration_rng)
-                else:
-                    engine.population.append(migrant)
-                engine.archive.add(migrant)
-                migrations += 1
-            # Incremental global-front merge: bulk-offer this epoch's
-            # migrant batch to the live cross-island archive.
-            global_front.add_all([m for _, m in outgoing])
-            epoch_index += 1
-            epochs_this_call += 1
-            front_history.append((epoch_index, len(global_front)))
-            if publisher is not None:
-                publisher.emit(
-                    "migration",
-                    epoch=epoch_index,
-                    clock=next_epoch,
-                    delivered=len(outgoing),
-                    global_front=len(global_front),
+        # -- migration epoch T_k: content first (simultaneous exchange
+        # of pre-epoch state), then the timing charge.
+        outgoing: list[tuple[int, Solution]] = []
+        for src, dst in links:
+            sender = states[src]
+            if sender.done or states[dst].done:
+                continue
+            if len(sender.engine.archive) == 0:
+                continue
+            for _ in range(migrants):
+                migrant = sender.engine.archive.sample(
+                    migration_rngs[src]
+                ).copy()
+                migrant.operator = "migration"
+                outgoing.append((dst, migrant))
+        for i, st in enumerate(states):
+            if not st.done:
+                # Sends, receives (one TC per link), then one TA per
+                # migrant ingested.
+                st.serve_exchange(
+                    next_epoch,
+                    int(out_deg[i]) + int(in_deg[i]),
+                    int(in_deg[i]) * migrants,
                 )
-            next_epoch += interval
+        for dst, migrant in outgoing:
+            engine = states[dst].engine
+            # Migrants are already evaluated: inserted directly, no NFE
+            # charged to the receiver's budget.
+            if len(engine.population):
+                engine.population.add(migrant, migration_rngs[dst])
+            else:
+                engine.population.append(migrant)
+            engine.archive.add(migrant)
+            migrations += 1
+        # Incremental global-front merge: bulk-offer this epoch's
+        # migrant batch to the live cross-island archive.
+        global_front.add_all([m for _, m in outgoing])
+        epoch_index += 1
+        epochs_this_call += 1
+        front_history.append((epoch_index, len(global_front)))
+        if publisher is not None:
+            publisher.emit(
+                "migration",
+                epoch=epoch_index,
+                clock=next_epoch,
+                delivered=len(outgoing),
+                global_front=len(global_front),
+            )
+        next_epoch += interval
 
-            if checkpoint is not None and epoch_index % max(1, checkpoint_every) == 0:
-                save_islands_checkpoint(
-                    _snapshot(
-                        states,
-                        global_front,
-                        meta,
-                        epoch_index,
-                        next_epoch,
-                        migrations,
-                        front_history,
-                    ),
-                    checkpoint,
-                )
-            if (
-                stop_after_epochs is not None
-                and epochs_this_call >= stop_after_epochs
-                and any(not st.done for st in states)
-            ):
-                completed = False
-                break
+        if checkpoint is not None and epoch_index % max(1, checkpoint_every) == 0:
+            save_islands_checkpoint(
+                _snapshot(
+                    states, migration_rngs, global_front, meta, epoch_index,
+                    next_epoch, migrations, front_history,
+                ),
+                checkpoint,
+            )
+        if (
+            stop_after_epochs is not None
+            and epochs_this_call >= stop_after_epochs
+            and any(not st.done for st in states)
+        ):
+            completed = False
+            break
 
     # -- final merge: bulk-insert every shard archive into a fresh one.
     merged = EpsilonBoxArchive(states[0].engine.archive.epsilons)
@@ -599,7 +430,7 @@ def run_sharded_islands(
 
     shards = [
         IslandShard(
-            index=st.index,
+            index=i,
             result=st.engine.result(),
             elapsed=st.elapsed if st.done else st.master_free,
             nfe=st.engine.nfe,
@@ -607,7 +438,7 @@ def run_sharded_islands(
             migration_services=st.exchanges,
             checkpoints=tuple(st.checkpoints),
         )
-        for st in states
+        for i, st in enumerate(states)
     ]
     return ShardedRunResult(
         elapsed=max(s.elapsed for s in shards),

@@ -17,8 +17,8 @@ between the published anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -86,8 +86,8 @@ def ta_mean_for(problem: str, processors: int) -> float:
 class TimingModel:
     """Distributions of the three cost components.
 
-    ``sample_*`` helpers draw one value; ``mean_*`` properties feed the
-    analytical model (which assumes constants).
+    :class:`TimingSampler` draws from them; ``mean_*`` properties feed
+    the analytical model (which assumes constants).
     """
 
     t_f: Distribution
@@ -107,15 +107,6 @@ class TimingModel:
     @property
     def mean_ta(self) -> float:
         return self.t_a.mean
-
-    def sample_tf(self, rng: np.random.Generator) -> float:
-        return float(self.t_f.sample(rng))
-
-    def sample_tc(self, rng: np.random.Generator) -> float:
-        return float(self.t_c.sample(rng))
-
-    def sample_ta(self, rng: np.random.Generator) -> float:
-        return float(self.t_a.sample(rng))
 
     def as_constant(self) -> "TimingModel":
         """Collapse every component to its mean (the analytical model's

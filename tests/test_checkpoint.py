@@ -21,6 +21,13 @@ from repro.core import (
     restore_engine,
     save_checkpoint,
 )
+from repro.core.checkpoint import (
+    CHECKPOINT_FORMAT,
+    ISLANDS_CHECKPOINT_FORMAT,
+    ISLANDS_CHECKPOINT_VERSION,
+    load_islands_checkpoint,
+    save_islands_checkpoint,
+)
 from repro.parallel import SupervisorConfig, optimize, run_process_master_slave
 from repro.problems import DTLZ2
 
@@ -139,24 +146,51 @@ class TestParallelCheckpoint:
         assert res.checkpoints_written >= 2
 
 
+#: (loader, format tag, supported version) for each checkpoint kind.
+LOADERS = {
+    "borg": (load_checkpoint, CHECKPOINT_FORMAT, CHECKPOINT_VERSION),
+    "islands": (
+        load_islands_checkpoint,
+        ISLANDS_CHECKPOINT_FORMAT,
+        ISLANDS_CHECKPOINT_VERSION,
+    ),
+}
+
+
 class TestCheckpointFormat:
-    def test_rejects_wrong_format(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_rejects_wrong_format(self, tmp_path, kind):
+        load, _, version = LOADERS[kind]
         path = tmp_path / "bad.pkl"
         with open(path, "wb") as fh:
-            pickle.dump({"format": "something-else", "version": 1}, fh)
+            pickle.dump({"format": "something-else", "version": version}, fh)
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+            load(str(path))
 
-    def test_rejects_wrong_version(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_rejects_wrong_version(self, tmp_path, kind):
+        load, fmt, version = LOADERS[kind]
         path = tmp_path / "future.pkl"
         with open(path, "wb") as fh:
-            pickle.dump(
-                {"format": "repro-borg-checkpoint",
-                 "version": CHECKPOINT_VERSION + 1, "state": {}},
-                fh,
-            )
+            pickle.dump({"format": fmt, "version": version + 1, "state": {}}, fh)
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+            load(str(path))
+
+    def test_each_loader_rejects_the_other_format(
+        self, dtlz2_2d, small_config, tmp_path
+    ):
+        borg_ck = tmp_path / "borg.pkl"
+        islands_ck = tmp_path / "islands.pkl"
+        moea = BorgMOEA(dtlz2_2d, config=small_config, seed=1)
+        moea.run(50)
+        save_checkpoint(moea.engine, borg_ck)
+        save_islands_checkpoint({"islands": []}, islands_ck)
+        assert load_checkpoint(borg_ck)["format"] == CHECKPOINT_FORMAT
+        assert load_islands_checkpoint(islands_ck)["state"] == {"islands": []}
+        with pytest.raises(CheckpointError, match="islands checkpoint"):
+            load_islands_checkpoint(borg_ck)
+        with pytest.raises(CheckpointError, match="Borg checkpoint"):
+            load_checkpoint(islands_ck)
 
     def test_rejects_operator_mismatch(self, dtlz2_2d, small_config,
                                        tmp_path):

@@ -19,7 +19,9 @@ class TestFailureInjection:
         )
         assert faulty.failures == 0
         assert faulty.nfe == 2000
-        assert faulty.elapsed == pytest.approx(base.elapsed, rel=0.01)
+        # Same per-component timing streams: without failures the run
+        # is the baseline model, to the last bit.
+        assert faulty.elapsed == base.elapsed
         assert faulty.mean_live_workers == pytest.approx(15.0)
 
     def test_churn_slows_the_run(self, timing):

@@ -200,7 +200,7 @@ class TestEdgesAndValidation:
         assert result.total_nfe == 300
         assert result.merged_objectives.shape[1] == 2
 
-    def test_validation(self, config, timing):
+    def test_validation(self, config, timing, tmp_path):
         with pytest.raises(ValueError):
             run_sharded_islands(factory, 0, 4, 100, timing, config=config)
         with pytest.raises(ValueError):
@@ -231,6 +231,25 @@ class TestEdgesAndValidation:
             run_sharded_islands(
                 factory, 3, 4, 100, [timing, timing], config=config
             )
+        # Checkpoints and early stops act at migration epochs; a run
+        # without any (no migration, or a single island) refuses them
+        # instead of reporting a completed run with no file written.
+        path = tmp_path / "islands.ckpt"
+        with pytest.raises(ValueError):
+            run_sharded_islands(
+                factory, 3, 4, 300, timing, config=config,
+                migration_interval=math.inf, checkpoint=path,
+                stop_after_epochs=1,
+            )
+        with pytest.raises(ValueError):
+            run_sharded_islands(
+                factory, 1, 4, 300, timing, config=config, checkpoint=path
+            )
+        with pytest.raises(ValueError):
+            run_sharded_islands(
+                factory, 1, 4, 300, timing, config=config, stop_after_epochs=1
+            )
+        assert not path.exists()
 
 
 class DyingPoolProblem(DTLZ2):

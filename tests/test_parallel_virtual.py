@@ -1,11 +1,22 @@
 """Tests for the virtual-clock master-slave runners (the experiment core)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import BorgConfig, BorgMOEA
 from repro.models import async_parallel_time, serial_time
-from repro.parallel import run_async_master_slave, run_sync_master_slave
+from repro.models.fastsim import (
+    island_seed_streams,
+    simulate_async_fast,
+    simulate_sync_fast,
+)
+from repro.parallel import (
+    run_async_master_slave,
+    run_sharded_islands,
+    run_sync_master_slave,
+)
 from repro.problems import DTLZ2
 from repro.stats import constant_timing, ranger_timing
 
@@ -254,3 +265,60 @@ class TestHeterogeneousWorkers:
                 small_problem(), 3, 100, fast_timing, config=small_config,
                 worker_speeds=np.array([1.0, -1.0]),
             )
+
+
+class TestKernelParity:
+    """The virtual runners step the vectorized kernels' clock: on the
+    shared timing stream (island 0 of ``island_seed_streams(seed, 1)``)
+    they reproduce the kernels' timings, with the real engine inside."""
+
+    #: One unsaturated and one saturated operating point (P_UB ~ 200).
+    POINTS = [pytest.param(16, 600, id="P16"), pytest.param(512, 1500, id="P512")]
+
+    @staticmethod
+    def _assert_matches(run, sim):
+        assert run.elapsed == sim.elapsed
+        assert run.nfe == sim.nfe
+        assert run.master_max_queue == sim.master_max_queue
+        assert run.master_busy == pytest.approx(sim.master_busy, rel=1e-12)
+        assert run.master_mean_wait == pytest.approx(
+            sim.master_mean_wait, rel=1e-9, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("processors, nfe", POINTS)
+    def test_async_matches_kernel(self, small_config, processors, nfe):
+        tm = ranger_timing("DTLZ2", processors, 0.01)
+        run = run_async_master_slave(
+            small_problem(), processors, nfe, tm, config=small_config, seed=3
+        )
+        sim = simulate_async_fast(
+            processors, nfe, tm, seed=island_seed_streams(3, 1)[0][0]
+        )
+        self._assert_matches(run, sim)
+        if processors == 512:
+            assert run.master_utilization > 0.99
+
+    @pytest.mark.parametrize("processors, nfe", POINTS)
+    def test_sync_matches_kernel(self, small_config, processors, nfe):
+        tm = ranger_timing("DTLZ2", processors, 0.01)
+        run = run_sync_master_slave(
+            small_problem(), processors, nfe, tm, config=small_config, seed=3
+        )
+        sim = simulate_sync_fast(
+            processors, nfe, tm, seed=island_seed_streams(3, 1)[0][0]
+        )
+        self._assert_matches(run, sim)
+
+    def test_async_is_the_one_island_runtime(self, small_config):
+        tm = ranger_timing("DTLZ2", 16, 0.01)
+        run = run_async_master_slave(
+            small_problem(), 16, 500, tm, config=small_config, seed=7
+        )
+        islands = run_sharded_islands(
+            small_problem, 1, 16, 500, tm, config=small_config, seed=7,
+            migration_interval=math.inf,
+        )
+        assert run.elapsed == islands.elapsed
+        np.testing.assert_array_equal(
+            run.borg.objectives, islands.shards[0].result.objectives
+        )

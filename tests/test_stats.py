@@ -24,6 +24,7 @@ from repro.stats import (
     summarize,
     ta_mean_for,
 )
+from repro.stats.timing import TimingSampler
 
 
 class TestDistributionMoments:
@@ -190,16 +191,17 @@ class TestTimingModels:
 
     def test_as_constant_collapses_variance(self):
         tm = ranger_timing("DTLZ2", 64, 0.01).as_constant()
-        rng = np.random.default_rng(0)
-        assert tm.sample_tf(rng) == tm.sample_tf(rng)
+        sampler = TimingSampler(tm, 0)
+        assert sampler.tf() == sampler.tf() == tm.mean_tf
         assert tm.t_f.variance == 0.0
 
     def test_sampling_helpers(self):
         tm = constant_timing(tf=1.0, tc=2.0, ta=3.0)
-        rng = np.random.default_rng(0)
-        assert tm.sample_tf(rng) == 1.0
-        assert tm.sample_tc(rng) == 2.0
-        assert tm.sample_ta(rng) == 3.0
+        sampler = TimingSampler(tm, 0)
+        assert sampler.tf() == 1.0
+        assert sampler.tc() == 2.0
+        assert sampler.ta() == 3.0
+        assert sampler.ta_array(2).tolist() == [3.0, 3.0]
 
 
 class TestDescriptive:
