@@ -10,6 +10,10 @@ the virtual TACC-Ranger cluster and reports, per P:
 * efficiency, master utilisation, and queueing -- showing exactly where
   and why the analytical model breaks (master contention).
 
+The ``queue`` column is ``master_max_queue``: the peak over the whole
+run, which includes the t=0 dispatch burst (P-2 when every worker
+starts at once), so read contention from ``util``, not from it.
+
     python examples/scalability_study.py [--tf 0.01] [--nfe 5000]
 """
 

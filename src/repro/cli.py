@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "op (the batched ingest path)")
     worker.add_argument("--group-commit", action="store_true",
                         help="coalesce concurrent appends into shared "
-                        "fsync barriers (journal/SQLite backends)")
+                        "fsync barriers (journal storage only; SQLite "
+                        "commits once per compound op)")
     worker.add_argument("--flush-interval", type=float, default=0.0,
                         help="group-commit linger (seconds) before the "
                         "leader flushes (bounds added latency)")
@@ -518,7 +519,7 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_study(args) -> int:
     """Durable-study verbs (docs/RESILIENCE.md §6)."""
-    from repro.storage import Study, list_studies, open_storage
+    from repro.storage import JournalStorage, Study, list_studies, open_storage
 
     storage = open_storage(args.storage)
     try:
@@ -550,17 +551,21 @@ def _cmd_study(args) -> int:
                 lookahead=args.lookahead,
                 claim_batch=args.claim_batch,
             )
-            if args.all:
-                # Multi-tenant fleet: reopen with the write knobs and
-                # serve every study over one shared cache.
+            if args.group_commit:
+                if not isinstance(storage, JournalStorage):
+                    raise SystemExit(
+                        f"--group-commit applies to journal storage; "
+                        f"{args.storage} is not a journal"
+                    )
                 storage.close()
-                kwargs = {}
-                if args.group_commit:
-                    kwargs = {
-                        "group_commit": True,
-                        "flush_interval": args.flush_interval,
-                    }
-                storage = open_storage(args.storage, **kwargs)
+                storage = open_storage(
+                    args.storage,
+                    group_commit=True,
+                    flush_interval=args.flush_interval,
+                )
+            if args.all:
+                # Multi-tenant fleet: serve every study over one
+                # shared cache.
                 fleet = FleetRunner(
                     storage,
                     service=service,

@@ -507,38 +507,6 @@ class IncrementalFront:
         self.compact_if_needed()
         return True
 
-    def offer_many(self, F: np.ndarray) -> int:
-        """Bulk offer: fold every row of ``F`` into the front at once.
-
-        The batch is first reduced with one vectorised
-        :func:`nondominated_mask` pass -- rows dominated *within* the
-        batch can never survive a sequential offer stream (dominance is
-        transitive, and an evictor of their dominator dominates them
-        too) -- and only the survivors go through per-row queries
-        against the members.  The resulting front is identical, as a
-        set, to offering the rows one at a time in any order.
-
-        Returns the number of rows inserted.
-        """
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        if F.shape[0] == 0:
-            return 0
-        if F.shape[1] != self._m:
-            raise ValueError(
-                f"expected (n, {self._m}) rows, got {F.shape}"
-            )
-        survivors = F[nondominated_mask(F)]
-        accepted = 0
-        for row in survivors:
-            dominated, victims = self.query(row)
-            if dominated:
-                continue
-            self.remove(victims)
-            self.insert(row)
-            accepted += 1
-        self.compact_if_needed()
-        return accepted
-
     def __repr__(self) -> str:
         return (
             f"<IncrementalFront size={self._n_live} "

@@ -26,19 +26,6 @@ class Population:
         self._objectives: Optional[np.ndarray] = None
         self._violations: Optional[np.ndarray] = None
 
-    @classmethod
-    def initialize(cls, problem, size: int, rng: np.random.Generator) -> "Population":
-        """Random population of ``size``, evaluated in one batched call.
-
-        Draws the decision vectors with a single ``(size, nvars)``
-        sample (same stream consumption as ``size`` sequential
-        :meth:`Problem.random_solution` calls) and evaluates them with
-        :meth:`Problem.evaluate_batch`.
-        """
-        solutions = problem.random_solutions(rng, size)
-        problem.evaluate_solutions(solutions)
-        return cls(solutions)
-
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:
         return len(self.solutions)
@@ -140,13 +127,3 @@ class Population:
             raise IndexError("population is empty")
         return self.solutions[int(rng.integers(len(self.solutions)))]
 
-    def truncate(self, size: int, rng: np.random.Generator) -> list[Solution]:
-        """Randomly drop members down to ``size``; returns the dropped."""
-        if len(self.solutions) <= size:
-            return []
-        keep_idx = rng.choice(len(self.solutions), size=size, replace=False)
-        keep = set(int(i) for i in keep_idx)
-        dropped = [s for i, s in enumerate(self.solutions) if i not in keep]
-        self.solutions = [s for i, s in enumerate(self.solutions) if i in keep]
-        self._invalidate()
-        return dropped

@@ -64,6 +64,10 @@ class SimulationOutcome:
     processors: int
     master_busy: float
     master_mean_wait: float
+    #: Peak number of workers simultaneously queued at the master over
+    #: the whole run, *including* the t=0 initial-dispatch burst (P-2
+    #: whenever the P-1 workers start together) -- a transient-fill
+    #: figure, not steady-state contention (see ``master_mean_wait``).
     master_max_queue: int
     #: (nfe, time) checkpoints used for steady-state extrapolation.
     checkpoints: tuple[tuple[int, float], ...] = ()

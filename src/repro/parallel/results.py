@@ -41,7 +41,10 @@ class ParallelRunResult:
     master_busy: float = 0.0
     #: Mean time workers queued for the master (contention measure).
     master_mean_wait: float = 0.0
-    #: Peak number of workers simultaneously queued at the master.
+    #: Peak number of workers simultaneously queued at the master,
+    #: *including* the t=0 initial-dispatch burst (P-2 whenever the
+    #: P-1 workers start together) -- a transient-fill figure, not
+    #: steady-state contention (see ``master_mean_wait``).
     master_max_queue: int = 0
     #: Observed samples of each cost component ("ta", "tc", "tf").
     observed: dict[str, TallyMonitor] = field(default_factory=dict)

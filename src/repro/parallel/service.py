@@ -75,6 +75,14 @@ __all__ = [
 #: Name of the leader-election lease.
 MASTER_LEASE = "master"
 
+#: Storage-fault retries of one service operation: ``budget`` attempts,
+#: sleeping ``backoff(k)`` after the k-th failure (10 ms doubling,
+#: capped at 0.5 s).
+STORAGE_RETRY = RetryPolicy(budget=10, backoff_base=0.01, backoff_max=0.5)
+
+#: Seconds between a fleet's scans for newly created studies.
+DISCOVER_INTERVAL = 0.5
+
 
 @dataclass
 class ServiceConfig:
@@ -97,11 +105,6 @@ class ServiceConfig:
     #: since the last one, S being the solutions that snapshot held
     #: (population + archive); the finishing master always writes one.
     snapshot_interval: int = 50
-    #: Attempts per storage operation before giving up.
-    op_attempts: int = 10
-    #: Base/ceiling of the storage-retry backoff (seconds).
-    op_backoff_base: float = 0.01
-    op_backoff_max: float = 0.5
     #: Trials claimed per scheduling step (one compound claim op).  A
     #: worker holding a batch renews *all* its leases with one
     #: ``heartbeats`` op between evaluations, so log traffic per
@@ -115,8 +118,6 @@ class ServiceConfig:
             raise ValueError("lookahead must be >= 1")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        if self.op_attempts < 1:
-            raise ValueError("op_attempts must be >= 1")
         if self.claim_batch < 1:
             raise ValueError("claim_batch must be >= 1")
 
@@ -211,17 +212,14 @@ class StorageBackedRunner:
         faults with capped exponential backoff.  Safe because every
         compound op is refresh-validate-append: a torn append is
         invisible to replay, so retrying can never double-apply."""
-        service = self.service
-        delay = service.op_backoff_base
-        for attempt in range(service.op_attempts):
+        for attempt in range(1, STORAGE_RETRY.budget + 1):
             try:
                 return fn(*args, **kwargs)
             except StorageError:
                 self._storage_retries += 1
-                if attempt == service.op_attempts - 1:
+                if attempt == STORAGE_RETRY.budget:
                     raise
-                time.sleep(delay)
-                delay = min(service.op_backoff_max, delay * 2)
+                time.sleep(STORAGE_RETRY.backoff(attempt))
 
     # -- master role ---------------------------------------------------------
     def _try_become_master(self, now: float) -> bool:
@@ -619,8 +617,9 @@ class FleetRunner:
         Backend handle (this fleet's cache owns its read cursor).
     study_names:
         Studies to serve; None serves every unfinished study in the
-        backend, re-discovering new ones every ``discover_interval``
-        seconds (cheap: a probe-gated cache refresh).
+        backend, re-discovering new ones every
+        :data:`DISCOVER_INTERVAL` seconds (cheap: a probe-gated cache
+        refresh).
     problems:
         Optional ``{study_name: Problem}`` overrides; by default each
         study's problem is rebuilt from its ``problem`` meta via the
@@ -635,11 +634,9 @@ class FleetRunner:
         service: Optional[ServiceConfig] = None,
         worker_id: Optional[str] = None,
         publisher=None,
-        discover_interval: float = 0.5,
-        max_staleness: float = 0.0,
     ) -> None:
         self.storage = storage
-        self.cache = StudyCache(storage, max_staleness=max_staleness)
+        self.cache = StudyCache(storage)
         self.study_names = (
             None if study_names is None else list(study_names)
         )
@@ -647,7 +644,6 @@ class FleetRunner:
         self.service = service or ServiceConfig()
         self.worker_id = worker_id or f"w{os.getpid()}"
         self.publisher = publisher
-        self.discover_interval = discover_interval
         self._runners: dict[str, StorageBackedRunner] = {}
         self._budgets: dict[str, int] = {}
         self._queue: deque[str] = deque()
@@ -669,7 +665,7 @@ class FleetRunner:
     def _discover(self) -> None:
         """Adopt every servable study the cache knows about."""
         now = time.monotonic()
-        if now - self._last_discover < self.discover_interval:
+        if now - self._last_discover < DISCOVER_INTERVAL:
             return
         self._last_discover = now
         self.cache.refresh()

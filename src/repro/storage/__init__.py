@@ -10,10 +10,11 @@ crash-safe operation log.
 Backends: in-memory (tests), append-only journal file (checksummed
 records, fsync, torn-tail truncation, advisory file lock), and SQLite
 (WAL mode, busy-timeout retry).  :func:`open_storage` picks one from a
-path/URL spec.  All backends optionally *group-commit* (concurrent
-appends coalesce into shared durability barriers), and
-:class:`~repro.storage.cache.StudyCache` fronts any backend with a
-write-through in-memory fold so warm reads cost zero backend ops.
+path/URL spec.  The journal can optionally *group-commit* (concurrent
+appends coalesce into shared fsync barriers); SQLite commits once per
+compound op.  :class:`~repro.storage.cache.StudyCache` fronts any
+backend with a write-through in-memory fold so warm reads cost zero
+backend ops.
 """
 
 from __future__ import annotations

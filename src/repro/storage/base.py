@@ -24,10 +24,16 @@ than :meth:`StorageBackend.lock`: compound operations (claim a trial,
 reclaim a lease, ...) are implemented as *refresh under the lock, then
 append* -- the lock serialises writers across processes, and the fold
 makes the appended op unconditional to apply.
+
+Every backend stores an op as the bytes :func:`encode_op` returns and
+reads it back with :func:`decode_op`, so the durable op format is
+defined here and nowhere else (the journal adds only its record
+framing around these bytes).
 """
 
 from __future__ import annotations
 
+import pickle
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,7 +44,19 @@ __all__ = [
     "StorageBackend",
     "StorageError",
     "StorageLockTimeout",
+    "decode_op",
+    "encode_op",
 ]
+
+
+def encode_op(op: dict) -> bytes:
+    """Serialize one op dict into the payload every backend stores."""
+    return pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_op(payload: bytes) -> dict:
+    """Inverse of :func:`encode_op`."""
+    return pickle.loads(payload)
 
 
 class StorageError(RuntimeError):
@@ -57,6 +75,8 @@ class RetryPolicy:
     before it is dead-lettered (state ``failed``); the capped
     exponential backoff spaces re-dispatches of a trial whose previous
     leases kept dying, so a poison trial cannot monopolise the fleet.
+    The service loop retries storage faults through one fixed instance
+    of the same policy (``budget`` attempts per storage operation).
     """
 
     #: Maximum claim attempts per trial before dead-lettering.
@@ -154,8 +174,8 @@ class StorageBackend(ABC):
 
     def flush_stats(self) -> dict:
         """Group-commit telemetry.  Backends without a coalescing flush
-        path report only that group commit is off; journal and SQLite
-        override with flush/commit counts and the batching knobs."""
+        path report only that group commit is off; the journal
+        overrides with flush/commit counts and the batching knobs."""
         return {"group_commit": False}
 
     def close(self) -> None:  # pragma: no cover - trivial default

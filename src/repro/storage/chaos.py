@@ -61,7 +61,10 @@ class FaultyStorage(StorageBackend):
         self.injected: Counter[str] = Counter()
 
     # -- contract ------------------------------------------------------------
-    def append(self, ops: Sequence[dict]) -> int:
+    def _maybe_tear(self, ops: Sequence[dict]) -> None:
+        """Draw one torn-write decision for an append of ``ops``; on a
+        hit, tear (journal: the first record really lands torn on disk)
+        and raise :exc:`StorageError`."""
         if ops and self.torn_write_rate and (
             float(self._rng.random()) < self.torn_write_rate
         ):
@@ -72,18 +75,13 @@ class FaultyStorage(StorageBackend):
                     ops[0], fraction=float(self._rng.uniform(0.1, 0.9))
                 )
             raise StorageError("injected append failure (atomic backend)")
+
+    def append(self, ops: Sequence[dict]) -> int:
+        self._maybe_tear(ops)
         return self.inner.append(ops)
 
     def append_lazy(self, ops: Sequence[dict]) -> int:
-        if ops and self.torn_write_rate and (
-            float(self._rng.random()) < self.torn_write_rate
-        ):
-            self.injected["torn_write"] += 1
-            if isinstance(self.inner, JournalStorage):
-                self.inner.torn_append(
-                    ops[0], fraction=float(self._rng.uniform(0.1, 0.9))
-                )
-            raise StorageError("injected append failure (atomic backend)")
+        self._maybe_tear(ops)
         return self.inner.append_lazy(ops)
 
     def sync(self) -> None:

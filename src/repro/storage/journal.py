@@ -4,9 +4,12 @@ On-disk format -- a flat sequence of length-prefixed, checksummed
 records::
 
     ┌────────┬──────────────┬──────────────┬─────────────────┐
-    │ magic  │ length (u32) │ crc32 (u32)  │ payload (pickle)│
+    │ magic  │ length (u32) │ crc32 (u32)  │ payload (op)    │
     │ 2 B    │ little-endian│ of payload   │ ``length`` bytes│
     └────────┴──────────────┴──────────────┴─────────────────┘
+
+The payload is one op as :func:`~repro.storage.base.encode_op` writes
+it; this module owns only the framing.
 
 Crash-safety invariants:
 
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import errno
 import os
-import pickle
 import struct
 import threading
 import time
@@ -62,7 +64,13 @@ import zlib
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
-from .base import StorageBackend, StorageError, StorageLockTimeout
+from .base import (
+    StorageBackend,
+    StorageError,
+    StorageLockTimeout,
+    decode_op,
+    encode_op,
+)
 
 try:  # POSIX only; the CI/production target.  Windows gets a no-op lock.
     import fcntl
@@ -83,7 +91,7 @@ MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 def encode_record(op: dict) -> bytes:
     """Serialize one op dict into its framed on-disk record."""
-    payload = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = encode_op(op)
     return _HEADER.pack(RECORD_MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
@@ -110,10 +118,10 @@ def scan_records(buf: bytes, offset: int = 0):
         if zlib.crc32(payload) != crc:
             return pos
         try:
-            op = pickle.loads(payload)
+            op = decode_op(payload)
         except Exception:
             # CRC collisions are ~impossible, but a record written by a
-            # different pickle protocol/version must not kill replay.
+            # different codec version must not kill replay.
             return pos
         yield end, op
         pos = end
@@ -445,18 +453,16 @@ class JournalStorage(StorageBackend):
             return self._seq - 1
 
     def append(self, ops: Sequence[dict]) -> int:
+        if self._gsync is not None:
+            # Durability barrier outside the lock: followers write
+            # while the leader syncs, and one fsync covers the group.
+            last = self.append_lazy(ops)
+            self.sync()
+            return last
         if not ops:
             return self._seq - 1
         self.append_calls += 1
         self.appended_ops += len(ops)
-        if self._gsync is not None:
-            with self.lock():
-                last = self._write_records(ops)
-                target = self._pos
-            # Durability barrier outside the lock: followers write
-            # while the leader syncs, and one fsync covers the group.
-            self._gsync.wait_durable(target)
-            return last
         with self.lock():
             last = self._write_records(ops)
             if self.fsync:

@@ -2,20 +2,20 @@
 
 Single-process only (nothing is shared across OS processes), but it
 honours the exact same contract as the durable backends -- ops are
-pickled on append and unpickled on read, so aliasing bugs (a caller
-mutating an op dict after appending it) cannot silently diverge the
+encoded on append and decoded on read with the shared op codec, so
+aliasing bugs (a caller mutating an op dict after appending it) cannot
+silently diverge the
 in-memory backend from the journal/SQLite ones, and replay parity
 tests exercise identical semantics on all three.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from .base import StorageBackend
+from .base import StorageBackend, StorageLockTimeout, decode_op, encode_op
 
 __all__ = ["InMemoryStorage"]
 
@@ -35,10 +35,7 @@ class InMemoryStorage(StorageBackend):
         with self._lock:
             self.append_calls += 1
             self.appended_ops += len(ops)
-            for op in ops:
-                self._log.append(
-                    pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
-                )
+            self._log.extend(encode_op(op) for op in ops)
             self._seen = len(self._log)
             return len(self._log) - 1
 
@@ -48,7 +45,7 @@ class InMemoryStorage(StorageBackend):
             tail = self._log[from_seq:]
             self._seen = max(self._seen, from_seq + len(tail))
         return [
-            (from_seq + i, pickle.loads(raw)) for i, raw in enumerate(tail)
+            (from_seq + i, decode_op(raw)) for i, raw in enumerate(tail)
         ]
 
     def news(self) -> bool:
@@ -62,8 +59,6 @@ class InMemoryStorage(StorageBackend):
             timeout=-1 if timeout is None else timeout
         )
         if not acquired:  # pragma: no cover - RLock in-process contention
-            from .base import StorageLockTimeout
-
             raise StorageLockTimeout("in-memory lock timeout")
         try:
             yield

@@ -16,13 +16,14 @@ handshake, and hot statements (the append INSERT, the tail SELECT)
 compile once per process.  The registry is fork-aware: a child process
 never inherits the parent's live connection.
 
-Group commit: standalone appends from concurrent threads coalesce
-through a per-connection :class:`_TxnBatcher` -- one leader drains the
-queue of waiting appends into a single ``BEGIN IMMEDIATE .. COMMIT``,
-so N threads' acknowledged appends cost one WAL fsync instead of N.
-Appends made *inside* an explicit :meth:`lock` block (the Study
-layer's compound read-modify-append ops) are already inside the
-caller's transaction and commit with it.
+One commit path: every append runs inside :meth:`SQLiteStorage.lock`
+(``BEGIN IMMEDIATE .. COMMIT``).  The lock is reentrant, so an append
+made inside a Study-layer compound op joins the caller's transaction
+and commits with it; a standalone append is its own transaction.
+Commits run at ``synchronous=FULL``: every acknowledged append has
+been fsynced to the WAL.  There is no group commit: the Study and
+cache layers append only inside the lock, so each compound op already
+costs exactly one commit.
 
 Contention is handled twice over: SQLite's own ``busy_timeout`` makes
 lock waits block-with-timeout instead of failing instantly, and every
@@ -34,14 +35,19 @@ of writers degrades to queueing rather than errors.
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
-from .base import StorageBackend, StorageError, StorageLockTimeout
+from .base import (
+    StorageBackend,
+    StorageError,
+    StorageLockTimeout,
+    decode_op,
+    encode_op,
+)
 
 __all__ = ["SQLiteStorage"]
 
@@ -51,6 +57,11 @@ CREATE TABLE IF NOT EXISTS journal (
     payload BLOB NOT NULL
 )
 """
+
+#: WAL sync level: ``FULL`` fsyncs every commit (power-loss durable).
+_SYNCHRONOUS = "FULL"
+#: Extra capped-exponential retries of a statement on locked/busy.
+_MAX_RETRIES = 12
 
 
 class _Conn:
@@ -67,112 +78,10 @@ class _Conn:
         self.rlock = threading.RLock()
         self.depth = 0
         self.refs = 0
-        self.batcher: Optional["_TxnBatcher"] = None
 
 
 _REGISTRY: dict[tuple[int, str], _Conn] = {}
 _REGISTRY_LOCK = threading.Lock()
-
-
-class _TxnBatcher:
-    """Cross-thread transaction coalescing (SQLite group commit).
-
-    Threads enqueue their ops and park; the first to find no leader
-    drains every queued entry into one ``BEGIN IMMEDIATE .. COMMIT``.
-    Each entry's ops are inserted contiguously, so per-entry seqs stay
-    dense and the log order equals the queue order.  One WAL fsync
-    acknowledges the whole batch.
-    """
-
-    def __init__(
-        self,
-        storage: "SQLiteStorage",
-        flush_interval: float = 0.0,
-        max_batch: int = 64,
-    ) -> None:
-        self._storage = storage
-        self._cond = threading.Condition()
-        self._queue: list[list] = []  # [ops, done, last_seq, exc]
-        self._leader = False
-        #: Leader linger: how long to wait for stragglers before the
-        #: first commit of a leadership stint (0 = commit immediately).
-        self.flush_interval = max(0.0, float(flush_interval))
-        #: Cap on entries coalesced into one transaction.
-        self.max_batch = max(1, int(max_batch))
-        #: Transactions committed / entries served (mean batch size is
-        #: ``commits / flushes``, mirroring the journal's flush_stats).
-        self.flushes = 0
-        self.commits = 0
-
-    def append(self, ops: Sequence[dict]) -> int:
-        entry: list = [ops, False, None, None]
-        with self._cond:
-            self._queue.append(entry)
-            self._cond.notify_all()  # a lingering leader may be waiting
-            while True:
-                if entry[1]:
-                    if entry[3] is not None:
-                        raise entry[3]
-                    return entry[2]
-                if not self._leader:
-                    self._leader = True
-                    break
-                self._cond.wait(0.1)
-        try:
-            if self.flush_interval > 0.0:
-                deadline = time.monotonic() + self.flush_interval
-                with self._cond:
-                    while len(self._queue) < self.max_batch:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0.0:
-                            break
-                        self._cond.wait(remaining)
-            while True:
-                with self._cond:
-                    batch = self._queue[: self.max_batch]
-                    del self._queue[: len(batch)]
-                    if not batch:
-                        self._leader = False
-                        self._cond.notify_all()
-                        if entry[3] is not None:
-                            raise entry[3]
-                        return entry[2]
-                self._commit_batch(batch)
-                with self._cond:
-                    self.flushes += 1
-                    self.commits += len(batch)
-                    for item in batch:
-                        item[1] = True
-                    self._cond.notify_all()
-        except BaseException:
-            # Leader died outside _commit_batch (shouldn't happen) --
-            # make sure nobody waits on a vanished leader.
-            with self._cond:
-                self._leader = False
-                self._cond.notify_all()
-            raise
-
-    def _commit_batch(self, batch: list[list]) -> None:
-        storage = self._storage
-        try:
-            with storage.lock():
-                for item in batch:
-                    last = None
-                    for op in item[0]:
-                        cursor = storage._execute(
-                            "INSERT INTO journal (payload) VALUES (?)",
-                            (
-                                pickle.dumps(
-                                    op, protocol=pickle.HIGHEST_PROTOCOL
-                                ),
-                            ),
-                        )
-                        last = cursor.lastrowid
-                    item[2] = int(last) - 1
-        except BaseException as exc:
-            for item in batch:
-                if item[2] is None:
-                    item[3] = exc
 
 
 class SQLiteStorage(StorageBackend):
@@ -184,49 +93,19 @@ class SQLiteStorage(StorageBackend):
         Database file; one connection per process is shared by every
         instance opened on the same (real)path.
     busy_timeout:
-        SQLite busy handler timeout (seconds).
-    max_retries:
-        Extra capped-exponential retries on locked/busy errors.
-    synchronous:
-        WAL sync level -- ``"FULL"`` (default) fsyncs every commit;
-        ``"NORMAL"`` lets WAL coalesce fsyncs into checkpoints, which
-        keeps commit durability against *process* crashes but can lose
-        the last commits on *power* loss.  The throughput knob the
-        traffic harness exposes.
-    group_commit:
-        Coalesce standalone appends from concurrent threads into shared
-        transactions (one WAL fsync per batch).  Appends inside an
-        explicit ``lock()`` block always join the caller's transaction
-        regardless of this flag.
-    flush_interval:
-        With ``group_commit``, how long the transaction leader lingers
-        for stragglers before its first commit (seconds; 0 = commit
-        whatever is queued).  Same knob as the journal backend's.
-    max_batch:
-        With ``group_commit``, cap on appends coalesced into one
-        transaction (bounds worst-case acknowledge latency).
+        Lock timeout (seconds): SQLite's busy handler and the in-process
+        writer lock both wait this long -- the counterpart of the
+        journal's ``lock_timeout``.
     """
 
     def __init__(
         self,
         path: str | os.PathLike,
         busy_timeout: float = 10.0,
-        max_retries: int = 12,
-        synchronous: str = "FULL",
-        group_commit: bool = False,
-        flush_interval: float = 0.0,
-        max_batch: int = 64,
     ) -> None:
         super().__init__()
         self.path = os.fspath(path)
         self.busy_timeout = busy_timeout
-        self.max_retries = max_retries
-        if synchronous.upper() not in ("OFF", "NORMAL", "FULL", "EXTRA"):
-            raise ValueError(f"bad synchronous level: {synchronous!r}")
-        self.synchronous = synchronous.upper()
-        self.group_commit = bool(group_commit)
-        self.flush_interval = max(0.0, float(flush_interval))
-        self.max_batch = max(1, int(max_batch))
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         self._key = (os.getpid(), os.path.realpath(self.path))
@@ -264,7 +143,7 @@ class SQLiteStorage(StorageBackend):
 
     def _apply_pragmas(self, rec: _Conn) -> None:
         self._execute_on(rec, "PRAGMA journal_mode=WAL")
-        self._execute_on(rec, f"PRAGMA synchronous={self.synchronous}")
+        self._execute_on(rec, f"PRAGMA synchronous={_SYNCHRONOUS}")
         self._execute_on(
             rec, f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}"
         )
@@ -273,14 +152,14 @@ class SQLiteStorage(StorageBackend):
     # -- busy retry ----------------------------------------------------------
     def _execute_on(self, rec: _Conn, sql: str, params: Sequence = ()):
         delay = 0.002
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(_MAX_RETRIES + 1):
             try:
                 return rec.conn.execute(sql, params)
             except sqlite3.OperationalError as exc:
                 message = str(exc).lower()
                 if "locked" not in message and "busy" not in message:
                     raise StorageError(f"sqlite error: {exc}") from exc
-                if attempt >= self.max_retries:
+                if attempt >= _MAX_RETRIES:
                     raise StorageLockTimeout(
                         f"sqlite write lock not acquired: {exc}"
                     ) from exc
@@ -297,39 +176,16 @@ class SQLiteStorage(StorageBackend):
             return (row[0] or 0) - 1
         self.append_calls += 1
         self.appended_ops += len(ops)
-        rec = self._record()
-        if rec.rlock.acquire(blocking=False):
-            # Re-check under the lock: depth > 0 here means *this*
-            # thread already holds the transaction (compound op), so
-            # insert directly; the caller's COMMIT makes it durable.
-            try:
-                if rec.depth > 0:
-                    last = self._insert_ops(ops)
-                    self._seen_rowid = last + 1
-                    return last
-            finally:
-                rec.rlock.release()
-        if self.group_commit:
-            if rec.batcher is None:
-                with rec.rlock:
-                    if rec.batcher is None:
-                        rec.batcher = _TxnBatcher(
-                            self, self.flush_interval, self.max_batch
-                        )
-            last = rec.batcher.append(ops)
-            self._seen_rowid = max(self._seen_rowid, last + 1)
-            return last
         with self.lock():
             last = self._insert_ops(ops)
-        self._seen_rowid = last + 1
+            self._seen_rowid = last + 1
         return last
 
     def _insert_ops(self, ops: Sequence[dict]) -> int:
         last = None
         for op in ops:
             cursor = self._execute(
-                "INSERT INTO journal (payload) VALUES (?)",
-                (pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL),),
+                "INSERT INTO journal (payload) VALUES (?)", (encode_op(op),)
             )
             last = cursor.lastrowid
         return int(last) - 1  # rowids are 1-based; seqs are 0-based
@@ -342,7 +198,7 @@ class SQLiteStorage(StorageBackend):
         ).fetchall()
         if rows:
             self._seen_rowid = max(self._seen_rowid, int(rows[-1][0]))
-        return [(int(seq) - 1, pickle.loads(payload)) for seq, payload in rows]
+        return [(int(seq) - 1, decode_op(payload)) for seq, payload in rows]
 
     def news(self) -> bool:
         """Staleness probe: one indexed ``MAX(rowid)`` lookup -- far
@@ -385,23 +241,6 @@ class SQLiteStorage(StorageBackend):
                 self._execute_on(rec, "COMMIT")
         finally:
             rec.rlock.release()
-
-    def flush_stats(self) -> dict:
-        """Group-commit telemetry (mirrors the journal backend's)."""
-        rec = self._rec
-        batcher = rec.batcher if rec is not None else None
-        if not self.group_commit or batcher is None:
-            return {"group_commit": self.group_commit}
-        return {
-            "group_commit": True,
-            "flushes": batcher.flushes,
-            "commits": batcher.commits,
-            "mean_batch": (
-                batcher.commits / batcher.flushes if batcher.flushes else 0.0
-            ),
-            "flush_interval": batcher.flush_interval,
-            "max_batch": batcher.max_batch,
-        }
 
     def close(self) -> None:
         if self._closed:

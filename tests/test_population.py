@@ -123,16 +123,3 @@ class TestSampleAndTruncate:
         pop = Population([sol(i, i) for i in range(4)])
         seen = {id(pop.sample(rng)) for _ in range(200)}
         assert len(seen) == 4
-
-    def test_truncate_to_size(self):
-        rng = np.random.default_rng(0)
-        pop = Population([sol(i, i) for i in range(10)])
-        dropped = pop.truncate(4, rng)
-        assert len(pop) == 4
-        assert len(dropped) == 6
-
-    def test_truncate_noop_when_small(self):
-        rng = np.random.default_rng(0)
-        pop = Population([sol(1, 1)])
-        assert pop.truncate(5, rng) == []
-        assert len(pop) == 1

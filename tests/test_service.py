@@ -617,6 +617,74 @@ def _group_commit_worker(path):
     runner.run(max_seconds=120.0)  # pragma: no cover - killed first
 
 
+class TestWorkerCLI:
+    """``repro study worker`` flag handling per storage backend."""
+
+    def _create(self, storage, names, nfe=60):
+        from repro.cli import main
+
+        for i, name in enumerate(names):
+            assert main(["study", "create", "--storage", storage,
+                         "--name", name, "--problem", "dtlz2",
+                         "--nfe", str(nfe), "--seed", str(i)]) == 0
+
+    def test_group_commit_on_sqlite_exits_with_journal_message(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        db = str(tmp_path / "fleet.db")
+        self._create(db, ["s0"])
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "worker", "--storage", db, "--all",
+                  "--group-commit"])
+        # A string exit code: printed to stderr, process status 1.
+        assert isinstance(exc.value.code, str)
+        assert "--group-commit applies to journal storage" in exc.value.code
+        assert "\n" not in exc.value.code
+        # Nothing ran: the study is untouched.
+        storage = open_storage(db)
+        assert Study.load(storage, "s0").counts()["complete"] == 0
+        storage.close()
+
+    def test_sqlite_fleet_worker_finishes_every_study(self, tmp_path, capsys):
+        from repro.cli import main
+
+        db = str(tmp_path / "fleet.db")
+        self._create(db, ["s0", "s1"])
+        assert main(["study", "worker", "--storage", db, "--all",
+                     "--claim-batch", "4", "--max-seconds", "120"]) == 0
+        storage = open_storage(db)
+        for name in ("s0", "s1"):
+            study = Study.load(storage, name)
+            assert study.state.finished
+            assert study.counts()["complete"] == 60
+        storage.close()
+
+    def test_single_study_worker_honours_group_commit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.storage
+        from repro.cli import main
+
+        path = str(tmp_path / "one.journal")
+        self._create(path, ["s0"])
+        opened = []
+
+        def recording_open(spec, **kwargs):
+            opened.append(open_storage(spec, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(repro.storage, "open_storage", recording_open)
+        assert main(["study", "worker", "--storage", path, "--name", "s0",
+                     "--group-commit", "--max-seconds", "120"]) == 0
+        assert opened[-1].group_commit
+        assert opened[-1].flush_stats()["commits"] > 0
+        storage = open_storage(path)
+        assert Study.load(storage, "s0").counts()["complete"] == 60
+        storage.close()
+
+
 class TestSigkillGroupCommit:
     def test_sigkill_mid_flush_replays_to_intact_prefix(
         self, tmp_path, service_config, small_config

@@ -599,19 +599,18 @@ class TestGroupCommit:
     latency, and the same torn-tail crash contract as per-op fsync."""
 
     def make_group(self, kind, tmp_path, **kwargs):
+        """A group-committing journal; SQLite has one commit path."""
         if kind == "journal":
             return JournalStorage(
                 tmp_path / "g.journal", group_commit=True, **kwargs
             )
-        return SQLiteStorage(tmp_path / "g.db", group_commit=True)
+        return SQLiteStorage(tmp_path / "g.db")
 
-    @pytest.mark.parametrize("kind", ["journal", "sqlite"])
+    @pytest.mark.parametrize("kind", ["journal"])
     def test_concurrent_appends_coalesce(self, kind, tmp_path):
         import threading
 
-        storage = self.make_group(
-            kind, tmp_path, **({"flush_interval": 0.0005} if kind == "journal" else {})
-        )
+        storage = self.make_group(kind, tmp_path, flush_interval=0.0005)
         per_thread, threads = 40, 6
 
         def work(i):
@@ -641,7 +640,7 @@ class TestGroupCommit:
         storage = self.make_group(kind, tmp_path)
         storage.append([{"op": "a", "i": i} for i in range(5)])
         storage.close()
-        again = make_storage(kind, tmp_path if kind != "journal" else tmp_path) if False else (
+        again = (
             JournalStorage(tmp_path / "g.journal")
             if kind == "journal"
             else SQLiteStorage(tmp_path / "g.db")
@@ -746,39 +745,6 @@ class TestGroupCommit:
         assert len(study.reclaim_stale(now=16.0)) == 5
         storage.close()
 
-    def test_sqlite_flush_interval_linger_coalesces(self, tmp_path):
-        """The journal's group-commit knobs work on SQLite too (the
-        fleet CLI passes them through ``open_storage`` regardless of
-        backend): a lingering leader coalesces every concurrent
-        appender into one transaction."""
-        storage = open_storage(
-            tmp_path / "g.db",
-            group_commit=True,
-            flush_interval=0.002,
-            max_batch=32,
-        )
-        op = {"op": "lease", "study": "s", "key": "k", "worker": "w",
-              "expires": 0.0}
-        barrier = threading.Barrier(6)
-
-        def appender():
-            barrier.wait()
-            for _ in range(10):
-                storage.append([op])
-
-        threads = [threading.Thread(target=appender) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = storage.flush_stats()
-        assert stats["flushes"] < stats["commits"] == 60
-        assert stats["mean_batch"] > 1.5
-        assert stats["flush_interval"] == 0.002
-        assert stats["max_batch"] == 32
-        assert len(storage.read(0)) == 60
-        storage.close()
-
 
 class TestReclaimHeap:
     """reclaim_stale scans expired leases via the expiry heap, not the
@@ -845,7 +811,7 @@ class TestSQLiteSharedConnection:
         import threading
         import time as _time
 
-        storage = SQLiteStorage(tmp_path / "s.db", group_commit=True)
+        storage = SQLiteStorage(tmp_path / "s.db")
         study = Study.create(storage, "s")
         study.enqueue_many([np.zeros(2)] * 180)
         errors: list[Exception] = []
