@@ -1,12 +1,13 @@
 """Benchmark: the vectorized hot paths vs their scalar references.
 
-Times the three fast paths the evaluation/indicator vectorization
-introduced -- batched problem evaluation, the block-broadcast
-``nondominated_mask``, and the cached hypervolume engine on a
-Fig. 5-style trajectory -- against the scalar reference implementations
-frozen as test oracles in ``tests/reference``, asserts the speedup
-floors, and records the measurements in ``BENCH_hotpaths.json`` at the
-repository root so regressions are visible in CI artifacts.
+Times the fast paths -- batched problem evaluation, the block-broadcast
+``nondominated_mask``, the cached hypervolume engine on a Fig. 5-style
+trajectory, and the buffered population's ``add`` and ``tournament`` --
+against the reference implementations frozen as test oracles in
+``tests/reference``, asserts the speedup floors, and records the
+measurements in ``BENCH_hotpaths.json`` at the repository root so
+regressions are visible in CI artifacts.  It also records the process
+backend's dispatch latency (:mod:`benchmarks.dispatch_probe`).
 
 Quick mode (CI smoke): ``BENCH_HOTPATHS_QUICK=1`` shrinks the workloads
 so the whole module runs in a few seconds.
@@ -14,23 +15,28 @@ so the whole module runs in a few seconds.
     BENCH_HOTPATHS_QUICK=1 pytest benchmarks/test_bench_hotpaths.py -q
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
 import pytest
 
-from repro.core import BorgConfig, BorgMOEA
+from repro.core import BorgConfig, BorgMOEA, Population, Solution
 from repro.core.dominance import nondominated_mask
 from repro.indicators import Hypervolume, hypervolume_trajectory
 from repro.problems import DTLZ2, UF11
 from tests.reference import (
+    ReferencePopulation,
     evaluate_batch_fallback,
     nondominated_mask_reference,
     use_reference_paths,
 )
 
-from .conftest import BenchRecorder
+from .conftest import ROOT, BenchRecorder
 
 _record = BenchRecorder("hotpaths")
 QUICK = _record.quick
@@ -39,6 +45,8 @@ QUICK = _record.quick
 MIN_BATCH_SPEEDUP = 5.0
 MIN_MASK_SPEEDUP = 3.0
 MIN_TRAJECTORY_SPEEDUP = 2.0
+#: Floor for population add and tournament from N = 400 up.
+MIN_POPULATION_SPEEDUP = 2.0
 
 
 def _best_of(fn, repeats=3):
@@ -148,3 +156,77 @@ def test_bench_hypervolume_trajectory():
         f"{payload['speedup']:.1f}x"
     )
     assert payload["speedup"] >= MIN_TRAJECTORY_SPEEDUP
+
+
+def _front_members(rng, n, m=5):
+    """Mutually nondominated points on the positive unit sphere, like a
+    converged Borg population."""
+    F = rng.random((n, m))
+    F /= np.linalg.norm(F, axis=1, keepdims=True)
+    return [Solution(np.zeros(2), objectives=f) for f in F]
+
+
+def _population_pass(cls, members, offspring, size):
+    """Per-call microseconds of ``add`` and ``tournament``, with the
+    results so the two classes can be checked against each other."""
+    pop, rng = cls(members), np.random.default_rng(3)
+    pop.tournament(size, rng)  # builds the matrices
+    t0 = time.perf_counter()
+    added = [pop.add(child, rng) for child in offspring]
+    t_add = (time.perf_counter() - t0) / len(offspring)
+    t0 = time.perf_counter()
+    winners = [pop.tournament(size, rng).uid for _ in offspring]
+    t_tournament = (time.perf_counter() - t0) / len(offspring)
+    return t_add * 1e6, t_tournament * 1e6, added, winners
+
+
+@pytest.mark.parametrize("n", [100, 400, 1_400, 5_000])
+def test_bench_population(n):
+    """Steady-state add and Borg-sized tournament (2% of N, at least 2)
+    on a nondominated 5-objective population, production vs oracle."""
+    rng = np.random.default_rng(n)
+    members = _front_members(rng, n)
+    offspring = _front_members(rng, 60 if QUICK else 300)
+    size = max(2, int(0.02 * n))
+    fast = _population_pass(Population, members, offspring, size)
+    slow = _population_pass(ReferencePopulation, members, offspring, size)
+    assert fast[2:] == slow[2:]
+    payload = {
+        "n": n,
+        "tournament_size": size,
+        "add_us": fast[0],
+        "reference_add_us": slow[0],
+        "add_speedup": slow[0] / fast[0],
+        "tournament_us": fast[1],
+        "reference_tournament_us": slow[1],
+        "tournament_speedup": slow[1] / fast[1],
+    }
+    _record(f"population_n{n}", payload)
+    print(
+        f"\npopulation N={n}: add {fast[0]:.0f} vs {slow[0]:.0f} us, "
+        f"tournament(k={size}) {fast[1]:.0f} vs {slow[1]:.0f} us"
+    )
+    if n >= 400:
+        assert payload["add_speedup"] >= MIN_POPULATION_SPEEDUP
+        assert payload["tournament_speedup"] >= MIN_POPULATION_SPEEDUP
+
+
+def test_bench_dispatch_latency():
+    """Process-backend submit-to-receipt latency, 2 workers, 2 ms TF.
+    The probe runs in a fresh interpreter, so the objects this module
+    leaves behind do not put collector passes into the master's path."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    nfe = 600 if QUICK else 3_000
+    out = subprocess.run(
+        [sys.executable, "-m", "benchmarks.dispatch_probe", "--nfe", str(nfe)],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    payload = json.loads(out.stdout)
+    _record("dispatch_latency", payload)
+    print(
+        f"\ndispatch latency: mean {payload['mean_ms']:.3f} ms, "
+        f"p90 {payload['p90_ms']:.3f} ms over {payload['samples']} tasks"
+    )
+    assert payload["samples"] == payload["nfe"] == nfe

@@ -7,6 +7,16 @@ message carries only the decision vectors, and each result only the
 objective/constraint blocks, mirroring the constant-payload messages
 whose cost the paper measured as TC.
 
+Both directions write their frames directly, so no process runs a queue
+feeder thread.  A worker's reply is written under the shared result
+lock before the worker takes its next task.  The master writes each
+task frame on its own thread before ``submit`` returns, and it never
+blocks on a worker's pipe: task pipes are non-blocking, bytes a full
+pipe does not take wait in the slot's queue and go out on the loop's
+sweeps (and while :meth:`_ProcessPool.receive` waits), and they are
+dropped when the slot is buried.  So a stopped worker that stops
+reading cannot stall the master; the deadline sweep kills it.
+
 This module is the transport under the supervised master loop
 (:func:`repro.parallel.supervision.run_master_loop`, docs/RESILIENCE.md):
 the loop sweeps the pool for dead workers (``Process.is_alive()``) and
@@ -21,11 +31,14 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing as mp
+import os
 import queue as pyqueue
+import select
+import struct
 import time
 from multiprocessing.queues import Queue as _MPQueue
 from multiprocessing.reduction import ForkingPickler
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -55,38 +68,58 @@ def _worker_main(problem: Problem, tasks, results, wid: int, generation: int = 0
             results.put(evaluate_task(problem, wid, task_id, X))
 
 
-class _ReplyQueue(_MPQueue):
-    """Result queue whose ``put`` writes before returning.  The stock
-    feeder thread writes later, under the write lock all workers share,
-    so a worker crashing mid-write would silence every other worker.
-    (Mirrors the stock ``put`` plus feeder, on their private fields.)"""
+class _DirectQueue(_MPQueue):
+    """Queue whose writers write their own frames: no feeder thread.
+
+    ``put`` (workers' replies) writes the whole frame under the write
+    lock before it returns.  The stock feeder thread writes later, under
+    the write lock all workers share, so a worker crashing mid-write
+    would silence every other worker.  (Mirrors the stock ``put`` plus
+    feeder, on their private fields.)
+
+    ``send`` (the master's tasks; the master is the queue's only writer)
+    never blocks: the write end is non-blocking, the pipe takes what fits
+    now and ``flush`` writes the rest later.  ``get`` is the stock one.
+    """
+
+    def __init__(self, *, ctx, nonblocking: bool = False) -> None:
+        super().__init__(ctx=ctx)
+        self._unsent = bytearray()
+        if nonblocking:
+            os.set_blocking(self._writer.fileno(), False)
 
     def put(self, obj, block=True, timeout=None) -> None:
         self._sem.acquire(block, timeout)
         with self._wlock or contextlib.nullcontext():
             self._send_bytes(ForkingPickler.dumps(obj))
 
+    def send(self, obj) -> bool:
+        """Write ``obj``'s frame as far as the pipe takes it now; True
+        once all of it is written (else call ``flush`` later)."""
+        self._sem.acquire(False)  # ``get`` releases it
+        payload = ForkingPickler.dumps(obj)
+        n = len(payload)
+        # ``Connection.send_bytes`` framing: a 4-byte big-endian length,
+        # or -1 and an 8-byte length beyond 2 GiB.
+        header = struct.pack("!i", n) if n <= 0x7FFFFFFF else struct.pack("!iQ", -1, n)
+        self._unsent += header
+        self._unsent += payload
+        return self.flush()
 
-def _drain_and_close(q) -> None:
-    """Drain a multiprocessing queue, close it, and join its feeder.
+    def flush(self) -> bool:
+        """Write what the pipe takes of the unsent bytes; True once none
+        are left."""
+        if self._unsent:
+            with contextlib.suppress(BlockingIOError):
+                del self._unsent[: os.write(self._writer.fileno(), self._unsent)]
+        return not self._unsent
 
-    Stranded items keep the queue's feeder thread alive and can leave
-    zombie results pinned in the pipe after an interrupted run; a full
-    drain lets ``join_thread`` complete promptly.
-    """
-    try:
-        while True:
-            q.get_nowait()
-    except (pyqueue.Empty, OSError, ValueError, EOFError):
-        pass
-    try:
-        q.close()
-        q.join_thread()
-    except (OSError, ValueError, AssertionError):
-        try:
-            q.cancel_join_thread()
-        except Exception:
-            pass
+    def close(self) -> None:
+        """Close this process's ends of the pipe; unsent bytes are dropped."""
+        self._closed = True
+        self._unsent.clear()
+        self._reader.close()
+        self._writer.close()
 
 
 class _WorkerSlot:
@@ -98,15 +131,11 @@ class _WorkerSlot:
     def __init__(self, wid: int) -> None:
         self.wid = wid
         self.proc = None
-        self.queue = None
+        self.queue: Optional[_DirectQueue] = None
         self.generation = 0
         self.respawns = 0
         #: Monotonic instant of the pending respawn (None = not pending).
         self.respawn_at: Optional[float] = None
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
 
 
 class _ProcessPool(WorkerPool):
@@ -120,9 +149,13 @@ class _ProcessPool(WorkerPool):
         self.ctx = mp.get_context(start_method)
         self.results = None
         self.slots = [_WorkerSlot(w) for w in range(size)]
+        #: Slots with a process, as of the last sweep, in slot order.
+        self._live: dict[int, None] = {}
+        #: Slots whose task queue holds bytes the pipe has not taken yet.
+        self._behind: set[int] = set()
 
     def _spawn(self, slot: _WorkerSlot) -> None:
-        slot.queue = self.ctx.Queue()
+        slot.queue = _DirectQueue(ctx=self.ctx, nonblocking=True)
         args = (self.problem, slot.queue, self.results, slot.wid, slot.generation)
         slot.proc = self.ctx.Process(target=_worker_main, args=args, daemon=True)
         slot.respawn_at = None
@@ -132,34 +165,62 @@ class _ProcessPool(WorkerPool):
         """Reap the slot's process, then schedule a respawn or retire it."""
         proc, task_queue = slot.proc, slot.queue
         slot.proc = slot.queue = None
+        self._behind.discard(slot.wid)
         if proc.is_alive():
-            proc.terminate()
+            proc.kill()  # SIGTERM would stay pending on a stopped worker
         proc.join(timeout=5.0)
-        _drain_and_close(task_queue)
+        task_queue.close()
         sup, cap = self.sup, self.sup.max_respawns
         if sup.respawn and (cap is None or slot.respawns < cap):
             slot.respawn_at = time.monotonic() + sup.backoff(slot.respawns)
             slot.respawns += 1
             slot.generation += 1
 
+    def _note_membership(self) -> None:
+        self._live = dict.fromkeys(s.wid for s in self.slots if s.proc is not None)
+
+    def _flush(self) -> bool:
+        """Push unsent task bytes into pipes with room; True while some
+        slot is still behind."""
+        self._behind = {w for w in self._behind if not self.slots[w].queue.flush()}
+        return bool(self._behind)
+
     def start(self) -> None:
-        self.results = _ReplyQueue(ctx=self.ctx)
+        self.results = _DirectQueue(ctx=self.ctx)
         for slot in self.slots:
             self._spawn(slot)
+        self._note_membership()
 
-    def live(self) -> list[int]:
-        return [s.wid for s in self.slots if s.alive]
+    def live(self) -> Collection[int]:
+        return self._live.keys()
 
     def submit(self, wid: int, task_id: int, X: np.ndarray) -> None:
-        self.slots[wid].queue.put((task_id, X))
+        if not self.slots[wid].queue.send((task_id, X)):
+            self._behind.add(wid)
 
     def receive(self, timeout: float) -> Optional[tuple]:
+        if self._behind:
+            # Feed part-written tasks as their workers read them, until a
+            # reply is waiting or the time is up.
+            deadline = time.monotonic() + timeout
+            reader = self.results._reader
+            while self._flush():
+                left = deadline - time.monotonic()
+                if left <= 0 or reader.poll(0):
+                    break
+                waiter = select.poll()
+                waiter.register(reader, select.POLLIN)
+                for w in self._behind:
+                    waiter.register(self.slots[w].queue._writer, select.POLLOUT)
+                waiter.poll(left * 1000.0)
+            timeout = max(0.0, deadline - time.monotonic())
         try:
             return self.results.get(timeout=timeout)
         except pyqueue.Empty:
             return None
 
     def poll(self) -> tuple[list[tuple[int, str]], int]:
+        self._flush()
         dead, respawned = [], 0
         now = time.monotonic()
         for slot in self.slots:
@@ -170,33 +231,39 @@ class _ProcessPool(WorkerPool):
             elif not slot.proc.is_alive():
                 self._bury(slot)
                 dead.append((slot.wid, "worker process died"))
+        if dead or respawned:
+            self._note_membership()
         return dead, respawned
 
     def kill(self, wid: int, task_id: int) -> bool:
         self._bury(self.slots[wid])
+        self._note_membership()
         return True
 
     def exhausted(self) -> bool:
-        return not any(s.alive or s.respawn_at is not None for s in self.slots)
+        return not self._live and all(s.respawn_at is None for s in self.slots)
 
     def close(self) -> None:
-        for slot in self.slots:
-            if slot.alive:
-                try:
-                    slot.queue.put(None)
-                except (OSError, ValueError):
-                    pass
-        # Then reap every worker and drain both directions, releasing the
-        # queue feeder threads so interrupted runs strand no zombies.
+        # Poison every worker, then reap them; a worker still unfed or
+        # unresponsive at the deadline is killed.
+        working = [s for s in self.slots if s.proc is not None]
+        for slot in working:
+            slot.queue.send(None)
         deadline = time.monotonic() + 10.0
-        for slot in self.slots:
-            if slot.proc is not None:
-                slot.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-                if slot.proc.is_alive():
-                    slot.proc.terminate()
-                    slot.proc.join(timeout=1.0)
-                _drain_and_close(slot.queue)
-        _drain_and_close(self.results)
+        for slot in working:
+            proc, task_queue = slot.proc, slot.queue
+            while (
+                not task_queue.flush()
+                and proc.is_alive()
+                and time.monotonic() < deadline
+            ):
+                proc.join(timeout=0.01)
+            proc.join(timeout=max(0.1, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=1.0)
+            task_queue.close()
+        self.results.close()
 
 
 def run_process_master_slave(

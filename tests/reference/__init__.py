@@ -1,8 +1,8 @@
 """Reference implementations kept as test oracles.
 
 The production hot paths -- batched problem kernels, the box-grid
-archive index, the shape-dispatched non-dominated filter and the
-hypervolume engine -- each replaced a straightforward implementation.
+archive index, the shape-dispatched non-dominated filter, the buffered
+population and the hypervolume engine -- each replaced a straightforward implementation.
 Those originals are frozen here, verbatim, so tests and benchmarks can
 compare production against them:
 
@@ -10,6 +10,8 @@ compare production against them:
   kernels and the row-by-row batch loop;
 * :mod:`.archive` -- the full-scan archive update;
 * :mod:`.dominance` -- the row-at-a-time non-dominated filter;
+* :mod:`.population` -- the list-rebuilding population with its
+  scalar-draw pairwise tournament;
 * :mod:`.hypervolume` -- the recursive WFG hypervolume.
 
 :func:`use_reference_paths` patches all of them in at their use sites,
@@ -26,6 +28,8 @@ import sys
 
 # Every use site below must be loaded before it can be patched.
 import repro.core.archive
+import repro.core.borg
+import repro.core.checkpoint
 import repro.core.moead  # noqa: F401
 import repro.core.nsga2  # noqa: F401
 import repro.indicators  # noqa: F401
@@ -35,6 +39,7 @@ from repro.problems.wfg import _WFG
 from .archive import FullScanArchive, as_full_scan, full_scan_contest
 from .dominance import nondominated_mask_reference
 from .hypervolume import clean_front_reference, hypervolume_reference, wfg
+from .population import Population as ReferencePopulation
 from .problems import SCALAR_KERNELS, evaluate_batch_fallback, scalar_evaluate
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "evaluate_batch_fallback",
     "hypervolume_reference",
     "nondominated_mask_reference",
+    "ReferencePopulation",
     "scalar_evaluate",
     "use_reference_paths",
     "wfg",
@@ -57,6 +63,9 @@ _MASK_USE_SITES = (
     "repro.storage.cache",
 )
 
+#: Modules that bind ``Population`` at import time.
+_POPULATION_USE_SITES = ("repro.core.borg", "repro.core.checkpoint")
+
 #: Modules that bind ``hypervolume`` at import time.
 _HV_USE_SITES = ("repro.indicators.hypervolume", "repro.indicators")
 
@@ -65,8 +74,9 @@ def use_reference_paths(monkeypatch) -> None:
     """Patch every oracle in at its use sites through ``monkeypatch``.
 
     Problem kernels become the scalar row loop, archive offers the full
-    scan, ``nondominated_mask`` the row-at-a-time filter and
-    ``hypervolume`` the WFG recursion; undoing ``monkeypatch`` restores
+    scan, ``nondominated_mask`` the row-at-a-time filter, new engines'
+    populations the list-rebuilding one and ``hypervolume`` the WFG
+    recursion; undoing ``monkeypatch`` restores
     production.
     """
     for cls in SCALAR_KERNELS:
@@ -80,6 +90,8 @@ def use_reference_paths(monkeypatch) -> None:
         monkeypatch.setattr(
             sys.modules[name], "nondominated_mask", nondominated_mask_reference
         )
+    for name in _POPULATION_USE_SITES:
+        monkeypatch.setattr(sys.modules[name], "Population", ReferencePopulation)
     for name in _HV_USE_SITES:
         monkeypatch.setattr(
             sys.modules[name], "hypervolume", hypervolume_reference

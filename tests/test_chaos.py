@@ -9,12 +9,15 @@ without hanging, with exact NFE accounting.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import Solution
+from repro.core import BorgEngine, Solution
 from repro.models import (
     ChaosSummary,
     simulate_async_with_failures,
@@ -28,6 +31,7 @@ from repro.parallel import (
     run_process_master_slave,
     run_threaded_master_slave,
 )
+from repro.parallel import processes
 from repro.parallel.supervision import TaskTable, validate_reply
 from repro.problems import DTLZ2, ChaosError, FaultyProblem, TimedProblem
 from repro.stats import constant_timing
@@ -212,6 +216,114 @@ class TestProcessChaos:
         assert res.failures_detected == 0
         assert res.tasks_redispatched == 0
         assert res.results_quarantined == 0
+
+
+# ---------------------------------------------------------------------------
+# Direct-write process transport
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def ingested(monkeypatch):
+    """Uids of every solution the master ingests, in order."""
+    uids = []
+    ingest = BorgEngine.ingest
+
+    def logged(engine, solution):
+        uids.append(solution.uid)
+        return ingest(engine, solution)
+
+    monkeypatch.setattr(BorgEngine, "ingest", logged)
+    return uids
+
+
+def _once_after_reply(monkeypatch, tmp_path, sig):
+    """The first worker to write a reply then sends itself ``sig``
+    (forked workers inherit the patch; the marker file makes it once)."""
+    put = processes._DirectQueue.put
+    marker = str(tmp_path / "signalled")
+
+    def put_then_signal(queue, obj, *args, **kwargs):
+        put(queue, obj, *args, **kwargs)
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return
+        os.kill(os.getpid(), sig)
+
+    monkeypatch.setattr(processes._DirectQueue, "put", put_then_signal)
+
+
+class TestDirectTransport:
+    """Each run ends with exact NFE and no candidate ingested twice."""
+
+    def test_stopped_worker_with_oversized_task_is_killed(
+        self, small_config, monkeypatch, tmp_path, ingested
+    ):
+        problem, batch = DTLZ2(nobjs=2, nvars=50), 200
+        assert batch * problem.nvars * 8 > 64 * 1024  # more than a pipe holds
+        _once_after_reply(monkeypatch, tmp_path, signal.SIGSTOP)
+        partial = []
+        send = processes._DirectQueue.send
+
+        def logged_send(queue, obj):
+            done = send(queue, obj)
+            partial.append(not done)
+            return done
+
+        monkeypatch.setattr(processes._DirectQueue, "send", logged_send)
+        sup = SupervisorConfig(poll_interval=0.02, task_timeout=1.0)
+        started = time.monotonic()
+        res = run_process_master_slave(
+            problem, 3, 1_200, config=small_config, seed=5,
+            batch_size=batch, supervisor=sup,
+        )
+        assert time.monotonic() - started < 60
+        assert any(partial)  # the stopped worker's task did not fit
+        assert res.nfe == 1_200 == len(ingested) == len(set(ingested))
+        assert res.failures_detected >= 1
+        assert res.tasks_redispatched >= 1
+
+    def test_worker_killed_between_reply_and_next_task(
+        self, small_config, monkeypatch, tmp_path, ingested
+    ):
+        _once_after_reply(monkeypatch, tmp_path, signal.SIGKILL)
+        res = run_process_master_slave(
+            DTLZ2(nobjs=2), 3, 300, config=small_config, seed=6, supervisor=FAST
+        )
+        assert res.nfe == 300 == len(ingested) == len(set(ingested))
+        assert int(res.worker_evaluations.sum()) == 300
+        assert res.failures_detected == 1
+        assert res.tasks_redispatched >= 1
+
+    def test_close_poisons_past_a_killed_worker(self):
+        pool = processes._ProcessPool(DTLZ2(nobjs=2), 2, "fork", SupervisorConfig())
+        pool.start()
+        dead, survivor = pool.slots[0].proc, pool.slots[1].proc
+        os.kill(dead.pid, signal.SIGKILL)
+        dead.join(timeout=5.0)
+        started = time.monotonic()
+        pool.close()
+        assert time.monotonic() - started < 5.0
+        assert dead.exitcode == -signal.SIGKILL
+        assert survivor.exitcode == 0  # took its poison pill
+
+    def test_no_feeder_threads_in_master(self, small_config, monkeypatch):
+        seen = set()
+        receive = processes._ProcessPool.receive
+
+        def logged_receive(pool, timeout):
+            seen.update(t.name for t in threading.enumerate())
+            return receive(pool, timeout)
+
+        monkeypatch.setattr(processes._ProcessPool, "receive", logged_receive)
+        res = run_process_master_slave(
+            DTLZ2(nobjs=2), 3, 150, config=small_config, seed=4,
+            supervisor=FAST, batch_size=2,
+        )
+        assert res.nfe == 150
+        assert "MainThread" in seen
+        assert not any("QueueFeederThread" in name for name in seen)
 
 
 # ---------------------------------------------------------------------------
