@@ -8,8 +8,8 @@ root:
   processors; each prediction must land in under 100 ms (group-sampled
   extreme-value estimation keeps the cost independent of M).
 * **Virtual-clock validation** -- at P <= 1024 the kernel is compared
-  against the simkit discrete-event reference on a shared seed across
-  every topology; the makespans must agree bit-for-bit (the contract is
+  against the simkit discrete-event reference (``tests/reference``) on
+  a shared seed across every topology; the makespans must agree bit-for-bit (the contract is
   exactness, far inside any relative-error tolerance).
 * **Sharded speedup** -- at a paper-regime operating point where the
   allocation exceeds the single-master bound P_UB = TF/(2 TC + TA)
@@ -35,8 +35,8 @@ from repro.models.fastsim import (
     migration_degrees,
     simulate_async_fast,
 )
-from repro.models.simmodel import simulate_islands_reference
 from repro.stats.timing import RANGER_TC_SECONDS, ranger_timing, ta_mean_for
+from tests.reference.simmodel import simulate_islands_reference
 
 from .conftest import BenchRecorder
 

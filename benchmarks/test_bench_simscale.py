@@ -1,12 +1,10 @@
 """Benchmark: the simulation-model stack at paper-scale processor counts.
 
-Times the three layers this round of optimisation introduced --
+Times two layers --
 
 * the vectorized queueing kernel (``models/fastsim.py``) against the
-  simkit discrete-event reference on a Table II-sized asynchronous
-  prediction grid;
-* the tuned simkit engine itself (folded heap keys, ``__slots__``
-  environment, batched timeouts);
+  simkit discrete-event reference frozen in ``tests/reference`` on a
+  Table II-sized asynchronous prediction grid;
 * the deterministic parallel sweep runner
   (``experiments/sweep.py``) over the ``repro sweep`` prediction grid
 
@@ -28,12 +26,9 @@ import pytest
 from repro.cli import _sweep_cell
 from repro.experiments.sweep import run_cells, spawn_seeds
 from repro.models.fastsim import simulate_async_fast
-from repro.models.simmodel import (
-    predict_async_time,
-    simulate_async_reference,
-)
-from repro.simkit import Environment
+from repro.models.simmodel import predict_async_time
 from repro.stats.timing import ranger_timing
+from tests.reference.simmodel import simulate_async_reference
 
 from .conftest import BenchRecorder
 
@@ -171,65 +166,3 @@ def test_bench_sweep_runner_scaling():
         assert payload["pool_speedup"] >= 2.8
     else:
         pytest.skip(f"only {cpus} CPU(s); recorded timings without asserting scaling")
-
-
-def test_bench_engine_events_per_second():
-    """Raw simkit engine throughput (the retained reference path):
-    timeout-driven event processing and batched scheduling.
-
-    The batch comparison times the *scheduling* phase only -- that is
-    what ``timeout_batch`` replaces (n sift-up heap pushes with one
-    heapify) -- over shuffled delays, since pre-sorted delays make the
-    scalar pushes degenerate to O(1) appends.  Draining the event queue
-    afterwards is identical work for both variants; a one-off run
-    checks they process the same events.
-    """
-    n = 20_000 if QUICK else 200_000
-    delays = np.random.default_rng(0).permutation(n).astype(float).tolist()
-
-    def run_process_loop():
-        env = Environment()
-
-        def ticker(env):
-            for _ in range(n):
-                yield env.timeout(1.0)
-
-        env.process(ticker(env))
-        env.run()
-
-    def scalar_schedule():
-        env = Environment()
-        for d in delays:
-            env.timeout(d)
-        return env
-
-    def batch_schedule():
-        env = Environment()
-        env.timeout_batch(delays)
-        return env
-
-    # Same event set either way: draining both runs to the same clock.
-    env_a, env_b = scalar_schedule(), batch_schedule()
-    env_a.run()
-    env_b.run()
-    assert env_a.now == env_b.now == float(n - 1)
-
-    t_proc = _best_of(run_process_loop, repeats=2)
-    t_scalar = _best_of(scalar_schedule, repeats=3)
-    t_batch = _best_of(batch_schedule, repeats=3)
-    payload = {
-        "events": n,
-        "process_loop_seconds": t_proc,
-        "process_loop_events_per_second": n / t_proc,
-        "scalar_schedule_seconds": t_scalar,
-        "timeout_batch_seconds": t_batch,
-        "batch_speedup": t_scalar / t_batch,
-    }
-    _record("engine_events_per_second", payload)
-    print(
-        f"\nengine: {payload['process_loop_events_per_second']:,.0f} ev/s "
-        f"(process loop); scheduling {n} timeouts: "
-        f"{t_scalar * 1e3:.1f}ms scalar vs {t_batch * 1e3:.1f}ms batch "
-        f"({payload['batch_speedup']:.2f}x)"
-    )
-    assert payload["batch_speedup"] > 1.0

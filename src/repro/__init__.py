@@ -8,15 +8,15 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.problems` -- DTLZ / CEC-2009 / ZDT test suites plus the
   timed-evaluation wrapper;
 * :mod:`repro.indicators` -- hypervolume and friends;
-* :mod:`repro.simkit` -- discrete-event simulation kernel (SimPy
-  substitute);
-* :mod:`repro.stats` -- distribution fitting and the calibrated Ranger
-  timing models;
+* :mod:`repro.stats` -- distribution fitting, the calibrated Ranger
+  timing models and running monitors;
 * :mod:`repro.cluster` -- virtual machine/network/timeline substrate;
 * :mod:`repro.parallel` -- asynchronous and synchronous master-slave
   runners (virtual clock, threads, processes, MPI) and topologies;
 * :mod:`repro.models` -- analytical (Eqs. 1-4), Cantu-Paz (Eq. 6) and
-  simulation (§IV-B) performance models;
+  simulation (§IV-B) performance models; the simulation model runs on
+  one FIFO-master recurrence (its SimPy-style discrete-event
+  specification is a test oracle in ``tests/reference``);
 * :mod:`repro.experiments` -- regenerators for every table and figure.
 
 Quickstart::

@@ -57,11 +57,8 @@ from .simmodel import (
     predict_islands_time,
     predict_sync_time,
     simulate_async,
-    simulate_async_reference,
     simulate_islands,
-    simulate_islands_reference,
     simulate_sync,
-    simulate_sync_reference,
 )
 
 __all__ = [
@@ -83,9 +80,6 @@ __all__ = [
     "simulate_async",
     "simulate_sync",
     "simulate_islands",
-    "simulate_async_reference",
-    "simulate_sync_reference",
-    "simulate_islands_reference",
     "simulate_async_fast",
     "simulate_sync_fast",
     "simulate_islands_fast",

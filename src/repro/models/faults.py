@@ -14,18 +14,25 @@ Failure semantics:
 * a worker fails after an Exponential(mtbf) up-time, losing whatever
   evaluation it was running (the master re-generates on demand);
 * it recovers after an Exponential(repair) down-time, if ``repair`` is
-  finite, and asks the master for fresh work; with ``repair=None``
-  failures are permanent and a fully-dead pool ends the run early.
+  finite, and asks the master for fresh work; with ``repair=None`` (or
+  ``math.inf``) failures are permanent and a fully-dead pool ends the
+  run at the last death.
+
+The model runs on an event heap, the same FIFO-master clockwork as
+:mod:`repro.models.fastsim`; with no failures it reproduces
+:func:`~repro.models.simmodel.simulate_async` exactly.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
 
-from ..simkit import Environment, Interrupt, Resource
 from ..stats.timing import TimingModel, TimingSampler
 
 __all__ = [
@@ -35,6 +42,9 @@ __all__ = [
     "summarize_run",
     "throughput_degradation",
 ]
+
+#: Event kinds on the churn heap.
+_ARRIVE, _END, _FAIL, _REPAIR = range(4)
 
 
 @dataclass(frozen=True)
@@ -149,119 +159,147 @@ def simulate_async_with_failures(
     ----------
     mtbf:
         Mean worker up-time (seconds of virtual time); Exponential.
+        ``math.inf`` means no failures.
     repair:
-        Mean down-time before the worker rejoins; ``None`` means
-        failures are permanent.
+        Mean down-time before the worker rejoins; ``None`` or
+        ``math.inf`` means failures are permanent.
+
+    When every worker has died permanently before ``max_nfe``
+    evaluations complete, the partial run is reported: ``elapsed`` is
+    the time of the last death and ``mean_live_workers`` is averaged
+    over ``[0, elapsed]``.
+
+    The run is one heap of ``(time, seq, kind, worker, epoch)`` events
+    (arrival at the master, end of service, failure, repair) plus a
+    FIFO deque of workers waiting for the master.  A failure bumps the
+    worker's epoch, so its pending arrival, service end or queue slot
+    is skipped when reached; a failure during service frees the master
+    at that instant.  TA and TC are drawn when the master is granted,
+    TF when service ends.  The ``seed + 0xFA17`` generator draws each
+    worker's first failure at t = 0 in worker order and, at each
+    failure instant, that worker's next failure and then its repair (a
+    permanent death draws neither).
     """
     if processors < 2:
         raise ValueError("need at least 2 processors")
     if max_nfe < 1:
         raise ValueError("max_nfe must be >= 1")
-    if mtbf <= 0:
-        raise ValueError("mtbf must be positive")
-    if repair is not None and repair < 0:
-        raise ValueError("repair cannot be negative")
+    if not mtbf > 0:
+        raise ValueError("mtbf must be positive (math.inf: no failures)")
+    if repair is not None and not repair >= 0:
+        raise ValueError("repair must be None or >= 0")
+    permanent = repair is None or repair == math.inf
 
-    env = Environment()
-    master = Resource(env, capacity=1)
     # Costs come from the same per-component streams as the no-failure
     # model; failures and repairs draw from their own generator.
     sampler = TimingSampler(timing, seed)
     frng = np.random.default_rng(None if seed is None else seed + 0xFA17)
-    done = env.event()
-    stats = {
-        "nfe": 0,
-        "failures": 0,
-        "recoveries": 0,
-        "lost": 0,
-        "live": processors - 1,
-        "live_integral": 0.0,
-        "last_change": 0.0,
-    }
+    workers = processors - 1
+    epoch = [0] * workers
+    up = [True] * workers
+    # True until a worker's first service after (re)joining ends: that
+    # service is a dispatch (TA + TC) that returns no result.
+    fresh = [True] * workers
+    waiting: deque = deque()
+    holder = -1
+    heap: list = []
+    seq = 0
+    now = 0.0
+    nfe = failures = recoveries = 0
+    live = workers
+    live_integral = 0.0
+    last_change = 0.0
 
-    def note_live_change(delta: int) -> None:
-        now = env.now
-        stats["live_integral"] += stats["live"] * (now - stats["last_change"])
-        stats["last_change"] = now
-        stats["live"] += delta
+    def arrive(w: int) -> None:
+        """Worker ``w`` asks the master for work at ``now``."""
+        nonlocal holder, seq
+        if holder >= 0:
+            waiting.append((w, epoch[w]))
+            return
+        holder = w
+        if fresh[w]:
+            hold = sampler.ta() + sampler.tc()
+        else:
+            hold = sampler.tc() + sampler.ta() + sampler.tc()
+        heappush(heap, (now + hold, seq, _END, w, epoch[w]))
+        seq += 1
 
-    up = [True] * (processors - 1)
-
-    def worker_lifecycle(env: Environment, wid: int):
-        """Run work cycles; a killer process interrupts us at failure."""
-        while not done.triggered:
-            try:
-                # -- one service lifetime --
-                with master.request() as req:
-                    yield req
-                    if done.triggered:
-                        return
-                    yield env.timeout(sampler.ta() + sampler.tc())
-                while not done.triggered:
-                    yield env.timeout(sampler.tf())
-                    with master.request() as req:
-                        yield req
-                        if done.triggered:
-                            return
-                        yield env.timeout(
-                            sampler.tc() + sampler.ta() + sampler.tc()
-                        )
-                        stats["nfe"] += 1
-                        if stats["nfe"] >= max_nfe:
-                            if not done.triggered:
-                                done.succeed(env.now)
-                            return
+    def release() -> None:
+        """Free the master and grant it to the first live waiter."""
+        nonlocal holder
+        holder = -1
+        while waiting:
+            w, ep = waiting.popleft()
+            if ep == epoch[w]:
+                arrive(w)
                 return
-            except Interrupt:
-                # Failed mid-cycle: the in-flight evaluation is lost.
-                stats["failures"] += 1
-                stats["lost"] += 1
-                up[wid] = False
-                note_live_change(-1)
-                if repair is None:
-                    return
-                yield env.timeout(frng.exponential(repair))
-                if done.triggered:
-                    return
-                stats["recoveries"] += 1
-                up[wid] = True
-                note_live_change(+1)
-                # loop: rejoin with a fresh dispatch
 
-    def killer(env: Environment, victim, wid: int):
-        """Interrupt the worker at each sampled failure instant.
+    for w in range(workers):
+        heappush(heap, (0.0, seq, _ARRIVE, w, 0))
+        heappush(heap, (frng.exponential(mtbf), seq + 1, _FAIL, w, 0))
+        seq += 2
 
-        A failure drawn while the worker is already down is skipped
-        (machines do not fail while being repaired); the clock simply
-        restarts for the next failure.
-        """
-        while victim.is_alive and not done.triggered:
-            yield env.timeout(frng.exponential(mtbf))
-            if victim.is_alive and not done.triggered and up[wid]:
-                try:
-                    victim.interrupt("failure")
-                except RuntimeError:
-                    return
+    while heap:
+        now, _, kind, w, ep = heappop(heap)
+        if kind == _ARRIVE:
+            if ep == epoch[w]:
+                arrive(w)
+        elif kind == _END:
+            if ep != epoch[w]:
+                continue  # the holder failed mid-service
+            if fresh[w]:
+                fresh[w] = False
+            else:
+                nfe += 1
+                if nfe >= max_nfe:
+                    break
+            release()
+            heappush(heap, (now + sampler.tf(), seq, _ARRIVE, w, ep))
+            seq += 1
+        elif kind == _FAIL:
+            failed = up[w]
+            if failed:
+                # The in-flight evaluation is lost.
+                failures += 1
+                up[w] = False
+                epoch[w] += 1
+                live_integral += live * (now - last_change)
+                last_change = now
+                live -= 1
+                if holder == w:
+                    release()
+                if permanent:
+                    if live == 0:
+                        break  # the whole pool is dead
+                    continue
+            # The clock runs on while the worker is down; a failure drawn
+            # then is skipped.
+            heappush(heap, (now + frng.exponential(mtbf), seq, _FAIL, w, 0))
+            seq += 1
+            if failed:
+                heappush(
+                    heap, (now + frng.exponential(repair), seq, _REPAIR, w, 0)
+                )
+                seq += 1
+        else:  # _REPAIR: rejoin with a fresh dispatch
+            recoveries += 1
+            up[w] = True
+            fresh[w] = True
+            live_integral += live * (now - last_change)
+            last_change = now
+            live += 1
+            arrive(w)
 
-    for wid in range(processors - 1):
-        proc = env.process(worker_lifecycle(env, wid), name=f"worker-{wid}")
-        env.process(killer(env, proc, wid), name=f"killer-{wid}")
-
-    try:
-        elapsed = float(env.run(until=done))
-    except RuntimeError:
-        # Every worker died permanently before the budget completed;
-        # report the partial run (elapsed = time of the last event).
-        elapsed = float(env.now)
-    stats["live_integral"] += stats["live"] * (elapsed - stats["last_change"])
-    mean_live = stats["live_integral"] / elapsed if elapsed > 0 else 0.0
+    elapsed = float(now)
+    live_integral += live * (elapsed - last_change)
+    mean_live = live_integral / elapsed if elapsed > 0 else 0.0
 
     return FaultyOutcome(
         elapsed=elapsed,
-        nfe=stats["nfe"],
+        nfe=nfe,
         processors=processors,
-        failures=stats["failures"],
-        recoveries=stats["recoveries"],
-        lost_evaluations=stats["lost"],
+        failures=failures,
+        recoveries=recoveries,
+        lost_evaluations=failures,
         mean_live_workers=mean_live,
     )

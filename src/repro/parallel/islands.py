@@ -14,7 +14,7 @@ Each island master is a :class:`~repro.parallel.virtual._Master`, the
 same FIFO-master recurrence as the virtual-clock runners, so the
 runtime shares its clockwork with the fastsim multi-master kernel
 (:func:`repro.models.fastsim.simulate_islands_fast`) and the simkit
-reference (:func:`repro.models.simmodel.simulate_islands_reference`).
+reference kept in ``tests/reference/simmodel.py``.
 At every global epoch ``T_k = k * migration_interval`` a migration
 exchange joins each live master's queue, holding it for out-degree TC
 draws (sends), in-degree TC draws (receives) and ``in_degree *

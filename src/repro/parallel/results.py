@@ -10,7 +10,7 @@ import numpy as np
 from ..cluster.trace import Timeline
 from ..core.borg import BorgResult
 from ..core.events import RunHistory
-from ..simkit.monitor import TallyMonitor
+from ..stats import TallyMonitor
 from .supervision import FaultStats
 
 __all__ = ["ParallelRunResult"]

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.borg import BorgConfig
 from ..problems.base import Problem
-from ..simkit.monitor import TallyMonitor
+from ..stats import TallyMonitor
 from .results import ParallelRunResult
 from .supervision import (
     ANY_WORKER,

@@ -59,7 +59,7 @@ from ..core.events import RunHistory
 from ..core.solution import Solution
 from ..models.fastsim import _max_queue_from_events, _SyncClock, island_seed_streams
 from ..problems.base import Problem
-from ..simkit.monitor import TallyMonitor
+from ..stats import TallyMonitor
 from ..stats.timing import TimingModel, TimingSampler
 from .results import ParallelRunResult
 

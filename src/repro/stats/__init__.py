@@ -2,7 +2,8 @@
 
 Distribution fitting with log-likelihood model selection
 (:func:`fit_best`), the calibrated Ranger timing models
-(:func:`ranger_timing`), and replicate summaries.
+(:func:`ranger_timing`), replicate summaries, and the running
+:class:`TallyMonitor`/:class:`SeriesMonitor` collectors.
 """
 
 from .comparisons import (
@@ -11,7 +12,14 @@ from .comparisons import (
     compare_samples,
     mann_whitney,
 )
-from .descriptive import Summary, confidence_interval, relative_error, summarize
+from .descriptive import (
+    SeriesMonitor,
+    Summary,
+    TallyMonitor,
+    confidence_interval,
+    relative_error,
+    summarize,
+)
 from .distributions import (
     DEFAULT_CANDIDATES,
     Constant,
@@ -64,4 +72,6 @@ __all__ = [
     "summarize",
     "confidence_interval",
     "relative_error",
+    "TallyMonitor",
+    "SeriesMonitor",
 ]

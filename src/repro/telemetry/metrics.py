@@ -11,10 +11,9 @@ poll loop) or subscribe it to an in-process
   improvements, snapshots, migrations;
 * **gauges** -- NFE, pending/running trials, archive size, the master
   lease holder, study liveness -- with the in-flight window tracked as
-  a time-weighted :class:`~repro.simkit.monitor.SeriesMonitor` in its
-  O(1) ``record=False`` fast mode;
+  a time-weighted :class:`~repro.stats.SeriesMonitor` (O(1) memory);
 * **operator probabilities** -- the latest adaptive selection vector;
-* **evaluation latency** -- a :class:`~repro.simkit.monitor.TallyMonitor`
+* **evaluation latency** -- a :class:`~repro.stats.TallyMonitor`
   over claim->complete spans plus a bounded window for p50/p99 (wall
   clock for in-process events; observation clock for tailed ones, so
   accurate to the tailer's poll interval);
@@ -41,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..simkit.monitor import SeriesMonitor, TallyMonitor
+from ..stats import SeriesMonitor, TallyMonitor
 from . import events as ev
 from .events import Event
 
@@ -87,9 +86,8 @@ class MetricsRegistry:
         self.master: Optional[str] = None
         self.finished = False
         self.operator_probabilities: dict[str, float] = {}
-        #: Time-weighted in-flight window (pending + running trials);
-        #: O(1) fast mode -- gauges never retain history.
-        self.in_flight = SeriesMonitor(record=False)
+        #: Time-weighted in-flight window (pending + running trials).
+        self.in_flight = SeriesMonitor()
         self._pending = 0
         self._running = 0
         #: Claim->complete latency moments over the whole run.

@@ -2,8 +2,9 @@
 
 The production hot paths -- batched problem kernels, the box-grid
 archive index, the shape-dispatched non-dominated filter, the buffered
-population and the hypervolume engine -- each replaced a straightforward implementation.
-Those originals are frozen here, verbatim, so tests and benchmarks can
+population, the hypervolume engine, and the simulation model's event
+recurrences -- each replaced a straightforward implementation.  Those
+originals are frozen here, verbatim, so tests and benchmarks can
 compare production against them:
 
 * :mod:`.problems` -- the scalar ``_evaluate``/``_evaluate_constraints``
@@ -12,10 +13,16 @@ compare production against them:
 * :mod:`.dominance` -- the row-at-a-time non-dominated filter;
 * :mod:`.population` -- the list-rebuilding population with its
   scalar-draw pairwise tournament;
-* :mod:`.hypervolume` -- the recursive WFG hypervolume.
+* :mod:`.hypervolume` -- the recursive WFG hypervolume;
+* :mod:`.simkit` -- the SimPy-style discrete-event engine, which runs
+  :mod:`.simmodel` (the §IV-B simulation model's async, sync and
+  island processes, oracle for the fastsim kernels) and :mod:`.faults`
+  (the interrupt-driven churn model, oracle for the event heap of
+  :func:`repro.models.faults.simulate_async_with_failures`).
 
-:func:`use_reference_paths` patches all of them in at their use sites,
-so a whole seeded run can be replayed on the reference paths.
+:func:`use_reference_paths` patches the hot-path oracles in at their
+use sites, so a whole seeded run can be replayed on the reference
+paths.
 
 Tests import this package as ``reference`` (``tests/`` is on the path
 of its own test modules); the benchmark harness imports it as
@@ -41,6 +48,11 @@ from .dominance import nondominated_mask_reference
 from .hypervolume import clean_front_reference, hypervolume_reference, wfg
 from .population import Population as ReferencePopulation
 from .problems import SCALAR_KERNELS, evaluate_batch_fallback, scalar_evaluate
+from .simmodel import (
+    simulate_async_reference,
+    simulate_islands_reference,
+    simulate_sync_reference,
+)
 
 __all__ = [
     "FullScanArchive",
@@ -50,6 +62,9 @@ __all__ = [
     "nondominated_mask_reference",
     "ReferencePopulation",
     "scalar_evaluate",
+    "simulate_async_reference",
+    "simulate_islands_reference",
+    "simulate_sync_reference",
     "use_reference_paths",
     "wfg",
 ]

@@ -1,4 +1,5 @@
-"""Parity tests: the vectorized fast kernel vs. the simkit reference.
+"""Parity tests: the vectorized fast kernel vs. the simkit reference
+(``tests/reference/simmodel.py``).
 
 The contract (docs/PERFORMANCE.md, "Simulation model at scale"): on a
 shared seed, both paths produce the same ``SimulationOutcome`` --
@@ -18,11 +19,11 @@ from repro.models.simmodel import (
     _extrapolate,
     predict_async_time,
     simulate_async,
-    simulate_async_reference,
     simulate_sync,
-    simulate_sync_reference,
 )
 from repro.stats.timing import TimingSampler, constant_timing, ranger_timing
+
+from reference.simmodel import simulate_async_reference, simulate_sync_reference
 
 #: (tf_mean, tag): master service time is ~40-60 us at these anchors, so
 #: 1 us is deep saturation, 30 us is comparable, 100 ms is worker-bound.

@@ -1,9 +1,14 @@
 """Tests for the failure-injection simulation (worker churn)."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.models import simulate_async, simulate_async_with_failures
-from repro.stats import constant_timing
+from repro.stats import constant_timing, ranger_timing
+
+from reference.faults import simulate_async_with_failures as oracle
 
 
 @pytest.fixture
@@ -76,6 +81,49 @@ class TestFailureInjection:
             simulate_async_with_failures(4, 100, timing, mtbf=0.0)
         with pytest.raises(ValueError):
             simulate_async_with_failures(4, 100, timing, mtbf=1.0, repair=-1.0)
+        with pytest.raises(ValueError):
+            simulate_async_with_failures(4, 100, timing, mtbf=-1.0)
+        with pytest.raises(ValueError):
+            simulate_async_with_failures(4, 100, timing, mtbf=math.nan)
+        with pytest.raises(ValueError):
+            simulate_async_with_failures(
+                4, 100, timing, mtbf=1.0, repair=math.nan
+            )
+        # Infinite means stay valid: no failures, permanent failures.
+        assert simulate_async_with_failures(
+            4, 100, timing, mtbf=math.inf
+        ).failures == 0
+        assert simulate_async_with_failures(
+            4, 100, timing, mtbf=1.0, repair=math.inf, seed=1
+        ).recoveries == 0
+        # A zero mean repair is an instant rejoin.
+        out = simulate_async_with_failures(
+            4, 100, timing, mtbf=0.05, repair=0.0, seed=1
+        )
+        assert out.nfe == 100 and out.recoveries == out.failures > 0
+
+    def test_infinite_repair_is_permanent(self, timing):
+        """``repair=math.inf`` returns, and runs exactly as ``None``."""
+        for seed in (3, 4):
+            inf = simulate_async_with_failures(
+                4, 10**6, timing, mtbf=0.3, repair=math.inf, seed=seed
+            )
+            none = simulate_async_with_failures(
+                4, 10**6, timing, mtbf=0.3, repair=None, seed=seed
+            )
+            assert inf == none
+
+    def test_dead_pool_elapsed_ends_at_last_death(self, timing):
+        """A pool that dies before the budget reports ``elapsed`` at the
+        last death, so each worker counts as live until it died and the
+        time-averaged live count is at least one."""
+        for processors, seed in itertools.product((2, 4), (3, 4, 5)):
+            out = simulate_async_with_failures(
+                processors, 10**6, timing, mtbf=0.3, repair=None, seed=seed
+            )
+            assert out.nfe < 10**6
+            assert out.failures == processors - 1
+            assert out.mean_live_workers >= 1.0
 
     def test_efficiency_helper(self, timing):
         out = simulate_async_with_failures(
@@ -83,3 +131,49 @@ class TestFailureInjection:
         )
         ts = 1000 * (0.01 + 29e-6)
         assert 0.8 < out.efficiency(ts) <= 1.0
+
+
+class TestOracleParity:
+    """The event heap against the frozen simkit churn model."""
+
+    @pytest.mark.parametrize("processors", [2, 4, 16, 64])
+    @pytest.mark.parametrize("model", ["constant", "ranger"])
+    def test_matches_oracle(self, timing, model, processors):
+        if model == "ranger":
+            timing = ranger_timing("DTLZ2", processors, 0.01)
+        nfe, survived, dead = 300, 0, 0
+        for mtbf, repair, seed in itertools.product(
+            (0.05, 0.3, 2.0), (None, 0.0, 0.05, 0.5), (1, 2, 3, 4)
+        ):
+            got = simulate_async_with_failures(
+                processors, nfe, timing, mtbf=mtbf, repair=repair, seed=seed
+            )
+            want = oracle(
+                processors, nfe, timing, mtbf=mtbf, repair=repair, seed=seed
+            )
+            case = (mtbf, repair, seed)
+            if want.nfe == nfe:
+                survived += 1
+                assert got == want, case
+                continue
+            # The whole pool died: the same run up to the last death,
+            # which the oracle's clock overshoots.
+            dead += 1
+            assert (got.nfe, got.failures, got.recoveries) == (
+                want.nfe, want.failures, want.recoveries
+            ), case
+            assert got.lost_evaluations == want.lost_evaluations, case
+            assert got.mean_live_workers * got.elapsed == pytest.approx(
+                want.mean_live_workers * want.elapsed, rel=1e-9
+            ), case
+            assert got.elapsed <= want.elapsed, case
+        assert survived > 0
+
+    @pytest.mark.parametrize("processors", [16, 1024])
+    def test_no_failures_is_the_kernel(self, timing, processors):
+        base = simulate_async(processors, 4000, timing, seed=5)
+        out = simulate_async_with_failures(
+            processors, 4000, timing, mtbf=1e12, seed=5
+        )
+        assert (out.elapsed, out.nfe) == (base.elapsed, base.nfe)
+        assert out.failures == 0

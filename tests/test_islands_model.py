@@ -25,12 +25,10 @@ from repro.models.fastsim import (
     migration_links,
     simulate_islands_fast,
 )
-from repro.models.simmodel import (
-    predict_islands_time,
-    simulate_islands,
-    simulate_islands_reference,
-)
+from repro.models.simmodel import predict_islands_time, simulate_islands
 from repro.stats.timing import ranger_timing
+
+from reference.simmodel import simulate_islands_reference
 
 #: Abs tolerance for master busy (ulp-level accumulation difference).
 BUSY_ABS = 1e-12

@@ -93,7 +93,7 @@ class TestReprSmoke:
     def test_various_reprs(self, dtlz2_2d, fast_timing):
         from repro.cluster import ConstantLatency, Timeline, ranger
         from repro.core import Population, Solution
-        from repro.simkit import Environment, Resource, Store
+        from reference.simkit import Environment, Resource, Store
         from repro.stats import Gamma
 
         objects = [

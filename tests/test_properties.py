@@ -18,7 +18,7 @@ from repro.core.operators import (
     UniformMutation,
 )
 from repro.indicators import hypervolume, monte_carlo_hypervolume
-from repro.simkit import Environment, Resource
+from reference.simkit import Environment, Resource
 from repro.stats import Gamma, LogNormal, TruncatedNormal
 
 # -- strategies -----------------------------------------------------------

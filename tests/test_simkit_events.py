@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import (
+from reference.simkit import (
     AllOf,
     AnyOf,
     EmptySchedule,

@@ -1,11 +1,14 @@
-"""Unit tests for simkit measurement monitors."""
+"""Unit tests for the running monitors of :mod:`repro.stats` and the
+simkit span tracker kept with the reference engine."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.simkit import SeriesMonitor, SpanTracker, TallyMonitor
+from repro.stats import SeriesMonitor, TallyMonitor
+
+from reference.simkit import SpanTracker
 
 
 class TestTallyMonitor:
@@ -41,12 +44,6 @@ class TestTallyMonitor:
         for v in (10.0, 10.0, 10.0):
             m.record(v)
         assert m.cv == 0.0
-
-    def test_keep_stores_observations(self):
-        m = TallyMonitor(keep=True)
-        m.record(1.0)
-        m.record(2.0)
-        assert m.observations == [1.0, 2.0]
 
     def test_single_observation_variance_zero(self):
         m = TallyMonitor()
@@ -131,48 +128,40 @@ class TestSpanTracker:
 
 
 class TestNoRecordFastMode:
-    """record=False keeps summary statistics without per-event history."""
+    """Monitors keep summary statistics without per-event history."""
 
     def test_series_memory_bounded(self):
-        lean = SeriesMonitor(record=False)
-        full = SeriesMonitor()
-        for i in range(10_000):
-            lean.record(float(i), float(i % 7))
-            full.record(float(i), float(i % 7))
+        mon = SeriesMonitor()
+        times = np.arange(10_000, dtype=float)
+        values = times % 7
+        for t, v in zip(times, values):
+            mon.record(float(t), float(v))
         # No trajectory retained ...
-        assert lean.times == []
-        assert lean.values == []
-        assert len(full.times) == 10_000
-        # ... but the reductions are identical.
-        assert lean.count == full.count == 10_000
-        assert lean.last == full.last
-        assert lean.mean == pytest.approx(full.mean)
-        assert lean.variance == pytest.approx(full.variance)
-        assert lean.std == pytest.approx(full.std)
-        assert lean.time_average() == pytest.approx(full.time_average())
-        assert lean.time_average(until=20_000.0) == pytest.approx(
-            full.time_average(until=20_000.0)
+        assert not any(isinstance(v, list) for v in vars(mon).values())
+        # ... but the reductions are those of the full series.
+        assert mon.count == 10_000
+        assert mon.last == values[-1]
+        assert mon.mean == pytest.approx(values.mean())
+        assert mon.variance == pytest.approx(values.var(ddof=1))
+        assert mon.std == pytest.approx(values.std(ddof=1))
+        steps = values[:-1].sum()
+        assert mon.time_average() == pytest.approx(steps / times[-1])
+        assert mon.time_average(until=20_000.0) == pytest.approx(
+            (steps + values[-1] * (20_000.0 - times[-1])) / 20_000.0
         )
 
     def test_series_no_record_still_validates_monotonicity(self):
-        mon = SeriesMonitor(record=False)
+        mon = SeriesMonitor()
         mon.record(5.0, 1.0)
         with pytest.raises(ValueError):
             mon.record(4.0, 2.0)
 
     def test_series_no_record_rejects_backdated_until(self):
-        mon = SeriesMonitor(record=False)
-        mon.record(0.0, 1.0)
-        mon.record(10.0, 3.0)
-        with pytest.raises(ValueError, match="record=True"):
-            mon.time_average(until=5.0)
-
-    def test_series_with_history_backdated_until(self):
         mon = SeriesMonitor()
         mon.record(0.0, 1.0)
         mon.record(10.0, 3.0)
-        # value 1 held over [0, 5] -> average 1.
-        assert mon.time_average(until=5.0) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="precedes the last sample"):
+            mon.time_average(until=5.0)
 
     def test_span_tracker_memory_bounded(self):
         lean = SpanTracker(record=False)

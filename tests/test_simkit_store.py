@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Environment, Store
+from reference.simkit import Environment, Store
 
 
 class TestStoreBasics:
