@@ -49,20 +49,26 @@ class _DTLZ(Problem):
         return X[:, : m - 1], X[:, m - 1 :]
 
 
+def _front_products(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """The DTLZ front's per-row products: column ``j`` is the product of
+    ``a[:, : m - 1 - j]``, times ``b[:, m - 1 - j]`` when ``j > 0``.
+    One running product of ``a`` gives every column, multiplied in the
+    same left-to-right order as a per-column product."""
+    P = np.empty((a.shape[0], m))
+    P[:, -1] = 1.0
+    np.multiply.accumulate(a, axis=1, out=P[:, -2::-1])
+    P[:, 1:] *= b[:, ::-1]
+    return P
+
+
 def _spherical_objectives_batch(
     theta: np.ndarray, g: np.ndarray, m: int
 ) -> np.ndarray:
     """DTLZ2/3/4 shape, per row: products of cosines with a trailing
     sine."""
-    cos = np.cos(theta * np.pi / 2.0)
-    sin = np.sin(theta * np.pi / 2.0)
-    F = np.empty((theta.shape[0], m))
-    for j in range(m):
-        prod = np.prod(cos[:, : m - 1 - j], axis=1)
-        if j > 0:
-            prod = prod * sin[:, m - 1 - j]
-        F[:, j] = (1.0 + g) * prod
-    return F
+    angle = theta * np.pi / 2.0
+    P = _front_products(np.cos(angle), np.sin(angle), m)
+    return (1.0 + g)[:, None] * P
 
 
 class DTLZ1(_DTLZ):
@@ -80,13 +86,7 @@ class DTLZ1(_DTLZ):
                 axis=1,
             )
         )
-        F = np.empty((X.shape[0], m))
-        for j in range(m):
-            prod = np.prod(pos[:, : m - 1 - j], axis=1)
-            if j > 0:
-                prod = prod * (1.0 - pos[:, m - 1 - j])
-            F[:, j] = 0.5 * (1.0 + g) * prod
-        return F, None
+        return (0.5 * (1.0 + g))[:, None] * _front_products(pos, 1.0 - pos, m), None
 
 
 class DTLZ2(_DTLZ):

@@ -183,6 +183,21 @@ def test_evaluate_batch_matches_fallback_bitwise(factory):
         np.testing.assert_array_equal(C_fast, C_slow)
 
 
+@pytest.mark.parametrize("cls", [DTLZ1, DTLZ2, DTLZ3, DTLZ4])
+@pytest.mark.parametrize("nobjs", [2, 3, 5, 8, 10])
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_dtlz_front_products_match_scalar_oracle(cls, nobjs, rows):
+    """The running-product DTLZ kernels equal the per-objective scalar
+    products exactly, one row or many, at every front dimension."""
+    problem = cls(nobjs=nobjs)
+    for seed in range(10):
+        X = _random_matrix(problem, rows, seed=seed)
+        F, C = problem._evaluate_batch(X)
+        assert C is None
+        oracle = np.array([scalar_evaluate(problem, x)[0] for x in X])
+        assert np.array_equal(F, oracle), (cls.__name__, nobjs, rows, seed)
+
+
 def test_evaluate_batch_counts_evaluations():
     problem = DTLZ2(nobjs=3)
     X = _random_matrix(problem, 17, seed=0)

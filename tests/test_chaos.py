@@ -9,10 +9,15 @@ without hanging, with exact NFE accounting.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,7 +224,7 @@ class TestProcessChaos:
 
 
 # ---------------------------------------------------------------------------
-# Direct-write process transport
+# Private-pipe process transport
 # ---------------------------------------------------------------------------
 
 
@@ -237,21 +242,26 @@ def ingested(monkeypatch):
     return uids
 
 
+def _once(tmp_path) -> bool:
+    """True for the first process (of all forked workers) to ask."""
+    try:
+        os.close(os.open(str(tmp_path / "signalled"), os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
 def _once_after_reply(monkeypatch, tmp_path, sig):
     """The first worker to write a reply then sends itself ``sig``
     (forked workers inherit the patch; the marker file makes it once)."""
-    put = processes._DirectQueue.put
-    marker = str(tmp_path / "signalled")
+    put = processes._ReplyWriter.put
 
-    def put_then_signal(queue, obj, *args, **kwargs):
-        put(queue, obj, *args, **kwargs)
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-        except FileExistsError:
-            return
-        os.kill(os.getpid(), sig)
+    def put_then_signal(writer, reply, *args, **kwargs):
+        put(writer, reply, *args, **kwargs)
+        if _once(tmp_path):
+            os.kill(os.getpid(), sig)
 
-    monkeypatch.setattr(processes._DirectQueue, "put", put_then_signal)
+    monkeypatch.setattr(processes._ReplyWriter, "put", put_then_signal)
 
 
 class TestDirectTransport:
@@ -264,14 +274,13 @@ class TestDirectTransport:
         assert batch * problem.nvars * 8 > 64 * 1024  # more than a pipe holds
         _once_after_reply(monkeypatch, tmp_path, signal.SIGSTOP)
         partial = []
-        send = processes._DirectQueue.send
+        submit = processes._ProcessPool.submit
 
-        def logged_send(queue, obj):
-            done = send(queue, obj)
-            partial.append(not done)
-            return done
+        def logged_submit(pool, wid, task_id, X):
+            submit(pool, wid, task_id, X)
+            partial.append(bool(pool.slots[wid].unsent))
 
-        monkeypatch.setattr(processes._DirectQueue, "send", logged_send)
+        monkeypatch.setattr(processes._ProcessPool, "submit", logged_submit)
         sup = SupervisorConfig(poll_interval=0.02, task_timeout=1.0)
         started = time.monotonic()
         res = run_process_master_slave(
@@ -306,7 +315,7 @@ class TestDirectTransport:
         pool.close()
         assert time.monotonic() - started < 5.0
         assert dead.exitcode == -signal.SIGKILL
-        assert survivor.exitcode == 0  # took its poison pill
+        assert survivor.exitcode == 0  # read EOF on its closed task pipe
 
     def test_no_feeder_threads_in_master(self, small_config, monkeypatch):
         seen = set()
@@ -324,6 +333,163 @@ class TestDirectTransport:
         assert res.nfe == 150
         assert "MainThread" in seen
         assert not any("QueueFeederThread" in name for name in seen)
+
+    def test_torn_reply_frame_is_dropped_with_its_worker(
+        self, small_config, monkeypatch, tmp_path, ingested
+    ):
+        """A worker dies halfway through writing a reply.  With respawn
+        off the run can only finish on the other worker's replies, which
+        share no pipe or lock with the torn frame."""
+        put = processes._ReplyWriter.put
+
+        def torn_put(writer, reply, seconds=0.0):
+            if not _once(tmp_path):
+                return put(writer, reply, seconds)
+            frame = processes._reply_frame(reply, seconds)
+            os.write(writer.conn.fileno(), frame[: len(frame) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(processes._ReplyWriter, "put", torn_put)
+        sup = SupervisorConfig(poll_interval=0.02, respawn=False)
+        res = run_process_master_slave(
+            DTLZ2(nobjs=2), 3, 300, config=small_config, seed=7, supervisor=sup
+        )
+        assert res.nfe == 300 == len(ingested) == len(set(ingested))
+        assert res.failures_detected == 1
+        assert res.results_quarantined == 0
+        assert sorted(res.worker_evaluations) == [0, 300]
+
+    def test_death_seen_as_hang_up_without_deadline(
+        self, small_config, monkeypatch, ingested
+    ):
+        """With no task deadline and ``Process.is_alive`` blinded, only
+        the worker's hang-up on its reply pipe can return its lost task
+        to the run."""
+        monkeypatch.setattr(mp.process.BaseProcess, "is_alive", lambda self: True)
+        prob = FaultyProblem(DTLZ2(nobjs=2), crash_rate=1.0, seed=3,
+                             faulty_workers={0})
+        sup = SupervisorConfig(poll_interval=0.02, task_timeout=None,
+                               respawn=False)
+        started = time.monotonic()
+        res = run_process_master_slave(
+            prob, 3, 200, config=small_config, seed=8, supervisor=sup
+        )
+        assert time.monotonic() - started < 30
+        assert res.nfe == 200 == len(ingested) == len(set(ingested))
+        assert res.failures_detected == 1
+        assert res.tasks_redispatched >= 1
+        assert list(res.worker_evaluations) == [0, 200]
+
+    def test_spawn_start_method(self, small_config):
+        res = run_process_master_slave(
+            DTLZ2(nobjs=2), 3, 300, config=small_config, seed=9,
+            supervisor=FAST, start_method="spawn",
+        )
+        assert res.nfe == 300
+        assert int(res.worker_evaluations.sum()) == 300
+        assert res.failures_detected == 0
+
+    def test_reply_without_a_row_per_candidate_is_a_worker_error(
+        self, small_config
+    ):
+        """A reply frame carries 2-D blocks only; anything else comes
+        back as an error reply and is never ingested."""
+        sup = SupervisorConfig(poll_interval=0.02, max_dispatches_per_task=2)
+        with pytest.raises(NoLiveWorkersError, match="not one row per candidate"):
+            run_process_master_slave(
+                _FlatObjectives(nobjs=2), 3, 50, config=small_config,
+                seed=1, supervisor=sup,
+            )
+
+    def test_worker_measured_tf(self, small_config, monkeypatch):
+        """One TF sample per reply, measured by the worker: it holds the
+        2 ms sleep, and it is shorter than the master's submit-to-reply
+        time for the same task, which adds transit and waiting."""
+        sent, round_trips = {}, []
+        submit, receive = processes._ProcessPool.submit, processes._ProcessPool.receive
+
+        def stamped_submit(pool, wid, task_id, X):
+            sent[task_id] = time.perf_counter()
+            submit(pool, wid, task_id, X)
+
+        def stamped_receive(pool, timeout):
+            reply = receive(pool, timeout)
+            if reply is not None:
+                round_trips.append(time.perf_counter() - sent[reply[2]])
+            return reply
+
+        monkeypatch.setattr(processes._ProcessPool, "submit", stamped_submit)
+        monkeypatch.setattr(processes._ProcessPool, "receive", stamped_receive)
+        prob = TimedProblem(DTLZ2(nobjs=5), 0.002, real_delay=True)
+        res = run_process_master_slave(
+            prob, 3, 300, config=small_config, seed=1, supervisor=FAST
+        )
+        tf = res.observed["tf"]
+        assert res.nfe == 300 == tf.count == len(round_trips)
+        assert 0.0019 <= tf.mean < np.mean(round_trips)
+
+    def test_workers_exit_when_master_is_killed(self, tmp_path):
+        """Workers of a SIGKILLed master read EOF on their task pipes."""
+        script = tmp_path / "solve.py"
+        script.write_text(textwrap.dedent(f"""
+            import os
+            from repro.parallel import run_process_master_slave
+            from repro.problems import DTLZ2, TimedProblem
+
+            class Announced(TimedProblem):
+                def reseed_worker(self, wid, generation=0):
+                    path = os.path.join({str(tmp_path)!r}, f"worker-{{os.getpid()}}")
+                    open(path, "w").close()
+
+            run_process_master_slave(
+                Announced(DTLZ2(nobjs=2), 0.002, real_delay=True), 3, 10**7
+            )
+        """))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        master = subprocess.Popen([sys.executable, str(script)], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(_worker_pids(tmp_path)) < 2:
+                assert time.monotonic() < deadline, "workers never started"
+                assert master.poll() is None, "master exited early"
+                time.sleep(0.05)
+        finally:
+            master.kill()
+            master.wait()
+        workers = _worker_pids(tmp_path)
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+
+
+class _FlatObjectives(DTLZ2):
+    """DTLZ2 whose kernel returns its objectives as one flat vector."""
+
+    def _evaluate_batch(self, X):
+        F, C = super()._evaluate_batch(X)
+        return F.ravel(), C
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _worker_pids(directory) -> list[int]:
+    return [int(p.name.split("-")[1]) for p in Path(directory).glob("worker-*")]
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie
+    waiting for its new parent to reap it counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
 
 
 # ---------------------------------------------------------------------------
