@@ -3,7 +3,7 @@
 Three measurements, recorded in ``BENCH_storage.json`` at the repo root:
 
 * **append throughput** -- raw op-log appends/second for each backend
-  (journal with and without fsync, SQLite WAL, in-memory), the floor
+  (journal with and without fsync, in-memory), the floor
   under every compound study operation;
 * **trial round-trips** -- full enqueue → claim → tell cycles/second
   through the :class:`~repro.storage.Study` layer per backend, i.e. the
@@ -31,12 +31,7 @@ import numpy as np
 
 from repro.parallel import ServiceConfig, StorageBackedRunner, final_front
 from repro.problems import DTLZ2
-from repro.storage import (
-    InMemoryStorage,
-    JournalStorage,
-    SQLiteStorage,
-    Study,
-)
+from repro.storage import InMemoryStorage, JournalStorage, Study
 
 from .conftest import BenchRecorder
 
@@ -56,7 +51,6 @@ def _backends(tmp_path):
         "journal-nofsync": JournalStorage(
             tmp_path / "nofsync.journal", fsync=False
         ),
-        "sqlite": SQLiteStorage(tmp_path / "log.db"),
     }
 
 

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "create", help="create a named study in a storage file"
     )
     create.add_argument("--storage", required=True,
-                        help="journal path, .db/.sqlite path, or memory://")
+                        help="journal path or memory://")
     create.add_argument("--name", default="default")
     create.add_argument("--problem", choices=sorted(_PROBLEMS),
                         default="dtlz2")
@@ -191,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "op (the batched ingest path)")
     worker.add_argument("--group-commit", action="store_true",
                         help="coalesce concurrent appends into shared "
-                        "fsync barriers (journal storage only; SQLite "
-                        "commits once per compound op)")
+                        "fsync barriers (journal storage only)")
     worker.add_argument("--flush-interval", type=float, default=0.0,
                         help="group-commit linger (seconds) before the "
                         "leader flushes (bounds added latency)")
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "single-file UI; stdlib only -- docs/OBSERVABILITY.md)",
     )
     serve.add_argument("--storage", required=True,
-                       help="journal path, .db/.sqlite path, or memory://")
+                       help="journal path or memory://")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8350)
     serve.add_argument("--poll-interval", type=float, default=0.25,

@@ -7,14 +7,13 @@ back exactly once, and surviving ``kill -9`` of any (or every) process
 because the whole study is a deterministic fold over an append-only,
 crash-safe operation log.
 
-Backends: in-memory (tests), append-only journal file (checksummed
-records, fsync, torn-tail truncation, advisory file lock), and SQLite
-(WAL mode, busy-timeout retry).  :func:`open_storage` picks one from a
-path/URL spec.  The journal can optionally *group-commit* (concurrent
-appends coalesce into shared fsync barriers); SQLite commits once per
-compound op.  :class:`~repro.storage.cache.StudyCache` fronts any
-backend with a write-through in-memory fold so warm reads cost zero
-backend ops.
+Backends: in-memory (tests) and the append-only journal file
+(checksummed records, fsync, torn-tail truncation, advisory file
+lock).  :func:`open_storage` picks one from a path/URL spec.  The
+journal can optionally *group-commit* (concurrent appends coalesce into
+shared fsync barriers).  :class:`~repro.storage.cache.StudyCache`
+fronts any backend with a write-through in-memory fold so warm reads
+cost zero backend ops.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .cache import StudyCache
 from .chaos import FaultyStorage
 from .journal import JournalStorage
 from .memory import InMemoryStorage
-from .sqlite import SQLiteStorage
 from .study import (
     TRIAL_COMPLETE,
     TRIAL_FAILED,
@@ -45,7 +43,6 @@ __all__ = [
     "InMemoryStorage",
     "JournalStorage",
     "RetryPolicy",
-    "SQLiteStorage",
     "StorageBackend",
     "StorageError",
     "StorageLockTimeout",
@@ -67,14 +64,12 @@ __all__ = [
 def open_storage(spec: str | os.PathLike, **kwargs) -> StorageBackend:
     """Open a storage backend from a path/URL spec.
 
-    ``"memory://"`` → a fresh :class:`InMemoryStorage`; a path ending
-    in ``.db``/``.sqlite``/``.sqlite3`` → :class:`SQLiteStorage`;
-    anything else → :class:`JournalStorage`.  ``kwargs`` pass through
-    to the backend constructor.
+    ``"memory://"`` → a fresh :class:`InMemoryStorage`; any other path
+    → :class:`JournalStorage` (which refuses to write over a file that
+    is not a journal).  ``kwargs`` pass through to the backend
+    constructor.
     """
     spec = os.fspath(spec)
     if spec == "memory://":
         return InMemoryStorage()
-    if spec.endswith((".db", ".sqlite", ".sqlite3")):
-        return SQLiteStorage(spec, **kwargs)
     return JournalStorage(spec, **kwargs)

@@ -15,9 +15,7 @@ Backends differ only in where the log lives:
   single-process runs);
 * :class:`~repro.storage.journal.JournalStorage` -- an append-only
   file of length-prefixed, checksummed records (multi-process via an
-  advisory file lock, crash-safe via fsync + torn-tail truncation);
-* :class:`~repro.storage.sqlite.SQLiteStorage` -- a WAL-mode SQLite
-  table (multi-process via SQLite's own locking).
+  advisory file lock, crash-safe via fsync + torn-tail truncation).
 
 The contract deliberately has no read-modify-write primitive other
 than :meth:`StorageBackend.lock`: compound operations (claim a trial,

@@ -6,7 +6,7 @@ of *every* study in a backend in memory behind a single log cursor, so
 * **reads** (status, fronts, trial lookups, study listings) are served
   from memory with **zero backend ops** on a hit -- the only backend
   traffic a warm read path generates is an occasional ``news()``
-  staleness probe (a ``stat``/``MAX(rowid)``; never a scan, never a
+  staleness probe (a ``stat`` of the journal; never a scan, never a
   decode), and even the probe is throttled by ``max_staleness``;
 * **writes** go *through* the cache: a :class:`~repro.storage.study.Study`
   handle constructed with ``cache=`` appends to the backend as usual

@@ -9,8 +9,8 @@ injects the failure taxonomy the durable backends must survive --
   On a :class:`~repro.storage.journal.JournalStorage` the torn bytes
   are really written to disk (via :meth:`JournalStorage.torn_append`),
   exactly what ``kill -9`` between ``write`` and ``fsync`` leaves; on
-  atomic backends (memory, SQLite) the append simply fails without
-  effect, which is what their own journaling guarantees.
+  the atomic in-memory backend the append simply fails without
+  effect.
 * **lock timeouts** (``lock_timeout_rate``): the writer lock acquisition
   fails with :exc:`~repro.storage.base.StorageLockTimeout`, modelling a
   contended or wedged peer.

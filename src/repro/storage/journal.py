@@ -31,6 +31,12 @@ Crash-safety invariants:
   A group-committed flush changes nothing here: records are framed
   individually, so a crash mid-flush tears at most the last partially
   written record and replay returns the longest intact prefix.
+* **Foreign files are never truncated.**  A file with no intact record
+  whose first bytes are neither a prefix of :data:`RECORD_MAGIC` nor
+  NUL fill (what a crash during the very first append can leave) is
+  not a torn journal but some other file -- a CSV, a SQLite database.
+  A writer raises :exc:`~repro.storage.base.StorageError` naming the
+  path and leaves its bytes alone.
 * **Advisory file lock.**  Appends (and compound read-modify-append
   operations in the Study layer) serialize across OS processes via
   ``flock`` on a sidecar ``<path>.lock`` file, with a bounded
@@ -428,6 +434,13 @@ class JournalStorage(StorageBackend):
             self._seq = 0
         buf = self._read_from(self._pos)
         ops, end = scan_all(buf)
+        if self._pos == 0 and end == 0 and buf:
+            head = buf[: len(RECORD_MAGIC)]
+            if not RECORD_MAGIC.startswith(head) and head.strip(b"\0"):
+                raise StorageError(
+                    f"{self.path!r} is not a journal (no intact record; "
+                    f"starts with {head!r}); refusing to truncate it"
+                )
         self._seq += len(ops)
         self._pos += end
         torn = size - self._pos

@@ -4,9 +4,8 @@ Single-process only (nothing is shared across OS processes), but it
 honours the exact same contract as the durable backends -- ops are
 encoded on append and decoded on read with the shared op codec, so
 aliasing bugs (a caller mutating an op dict after appending it) cannot
-silently diverge the
-in-memory backend from the journal/SQLite ones, and replay parity
-tests exercise identical semantics on all three.
+silently diverge the in-memory backend from the journal, and replay
+parity tests exercise identical semantics on both.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ The diagnostics this repository produced as post-hoc CSVs under
   an in-process :class:`EventBus` that engines and runners publish to
   (behind a no-op ``None`` default, so un-observed runs pay nothing);
 * :mod:`repro.telemetry.tail` -- :class:`JournalTailer`, which follows
-  a durable study log (:class:`~repro.storage.JournalStorage` /
-  :class:`~repro.storage.SQLiteStorage`) from any sequence offset and
+  a durable study log (:class:`~repro.storage.JournalStorage`) from
+  any sequence offset and
   folds its ops into the *same* event stream, so live runs and cold
   journals are observed through one interface;
 * :mod:`repro.telemetry.metrics` -- :class:`MetricsRegistry`, reducing

@@ -1,7 +1,7 @@
 """Journal tailing: fold a durable study op-log into the event stream.
 
 :class:`JournalTailer` follows any :class:`~repro.storage.StorageBackend`
--- the append-only journal file, SQLite, or the in-memory backend --
+-- the append-only journal file or the in-memory backend --
 from an arbitrary sequence offset, using the backend's ``read(from_seq)``
 contract: every poll returns the intact ops appended since the last
 one, in order, and *only* intact ops.  That contract is what makes

@@ -23,20 +23,17 @@ import pytest
 from repro.storage import (
     InMemoryStorage,
     JournalStorage,
-    SQLiteStorage,
     Study,
     StudyCache,
 )
 
-BACKENDS = ("memory", "journal", "sqlite")
+BACKENDS = ("memory", "journal")
 
 
 def make_storage(kind: str, tmp_path):
     if kind == "memory":
         return InMemoryStorage()
-    if kind == "journal":
-        return JournalStorage(tmp_path / "log.journal")
-    return SQLiteStorage(tmp_path / "log.db")
+    return JournalStorage(tmp_path / "log.journal")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -130,7 +127,7 @@ class TestWriteThrough:
 
 
 class TestInvalidation:
-    @pytest.mark.parametrize("kind", ["journal", "sqlite"])
+    @pytest.mark.parametrize("kind", ["journal"])
     def test_external_appends_picked_up_exactly(self, kind, tmp_path):
         ours = make_storage(kind, tmp_path)
         cache = StudyCache(ours)

@@ -97,13 +97,13 @@ def test_journal_tailer_matches_committed_state(golden, expected):
 
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+@pytest.mark.parametrize("kind", ["memory", "journal"])
 def test_golden_ops_fold_identically_on_every_backend(
     golden, expected, kind, tmp_path
 ):
-    """The same ops appended to the other backends go through their
-    copy of the op codec and fold to the same committed state."""
-    spec = "memory://" if kind == "memory" else str(tmp_path / "g.db")
+    """The same ops appended to a fresh backend go through the op codec
+    again and fold to the same committed state."""
+    spec = "memory://" if kind == "memory" else str(tmp_path / "g.journal")
     storage = open_storage(spec)
     storage.append([op for _, op in golden.read(0)])
     assert Study.load(storage, NAME).dump_state() == expected

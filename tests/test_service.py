@@ -176,7 +176,7 @@ class TestSingleProcess:
         second_storage.close()
 
     def test_run_study_worker_builds_problem_from_meta(self, tmp_path):
-        path = tmp_path / "s.db"
+        path = tmp_path / "s.journal"
         storage = _make_study(path, 40)
         storage.close()
         result = run_study_worker(
@@ -628,38 +628,18 @@ class TestWorkerCLI:
                          "--name", name, "--problem", "dtlz2",
                          "--nfe", str(nfe), "--seed", str(i)]) == 0
 
-    def test_group_commit_on_sqlite_exits_with_journal_message(
+    def test_group_commit_on_memory_exits_with_journal_message(
         self, tmp_path, capsys
     ):
         from repro.cli import main
 
-        db = str(tmp_path / "fleet.db")
-        self._create(db, ["s0"])
         with pytest.raises(SystemExit) as exc:
-            main(["study", "worker", "--storage", db, "--all",
+            main(["study", "worker", "--storage", "memory://", "--all",
                   "--group-commit"])
         # A string exit code: printed to stderr, process status 1.
         assert isinstance(exc.value.code, str)
         assert "--group-commit applies to journal storage" in exc.value.code
         assert "\n" not in exc.value.code
-        # Nothing ran: the study is untouched.
-        storage = open_storage(db)
-        assert Study.load(storage, "s0").counts()["complete"] == 0
-        storage.close()
-
-    def test_sqlite_fleet_worker_finishes_every_study(self, tmp_path, capsys):
-        from repro.cli import main
-
-        db = str(tmp_path / "fleet.db")
-        self._create(db, ["s0", "s1"])
-        assert main(["study", "worker", "--storage", db, "--all",
-                     "--claim-batch", "4", "--max-seconds", "120"]) == 0
-        storage = open_storage(db)
-        for name in ("s0", "s1"):
-            study = Study.load(storage, name)
-            assert study.state.finished
-            assert study.counts()["complete"] == 60
-        storage.close()
 
     def test_single_study_worker_honours_group_commit(
         self, tmp_path, capsys, monkeypatch

@@ -27,7 +27,6 @@ from repro.storage import (
     InMemoryStorage,
     JournalStorage,
     RetryPolicy,
-    SQLiteStorage,
     StorageError,
     StorageLockTimeout,
     Study,
@@ -37,15 +36,13 @@ from repro.storage import (
 )
 from repro.storage.journal import encode_record, scan_all
 
-BACKENDS = ("memory", "journal", "sqlite")
+BACKENDS = ("memory", "journal")
 
 
 def make_storage(kind: str, tmp_path):
     if kind == "memory":
         return InMemoryStorage()
-    if kind == "journal":
-        return JournalStorage(tmp_path / "log.journal")
-    return SQLiteStorage(tmp_path / "log.db")
+    return JournalStorage(tmp_path / "log.journal")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -103,14 +100,73 @@ class TestOpenStorage:
     def test_spec_dispatch(self, tmp_path):
         mem = open_storage("memory://")
         journal = open_storage(tmp_path / "a.journal")
-        sqlite = open_storage(tmp_path / "a.db")
+        db = open_storage(tmp_path / "a.db")  # every path is a journal
         try:
             assert isinstance(mem, InMemoryStorage)
             assert isinstance(journal, JournalStorage)
-            assert isinstance(sqlite, SQLiteStorage)
+            assert isinstance(db, JournalStorage)
         finally:
-            for backend in (mem, journal, sqlite):
+            for backend in (mem, journal, db):
                 backend.close()
+
+
+def _write_sqlite_db(path):
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    conn.executemany(
+        "INSERT INTO t VALUES (?, ?)", [(i, "row") for i in range(50)]
+    )
+    conn.commit()
+    conn.close()
+
+
+def _write_csv(path):
+    path.write_text("run,hv\n" + "".join(f"{i},0.{i:04d}\n" for i in range(80)))
+
+
+class TestForeignFile:
+    """A writer refuses a file that is not a journal and leaves its
+    bytes alone; a journal torn inside its first record still heals."""
+
+    @pytest.mark.parametrize(
+        "name, write",
+        [("foreign.db", _write_sqlite_db), ("foreign.csv", _write_csv)],
+        ids=["sqlite", "text"],
+    )
+    def test_create_and_recover_refuse_and_keep_bytes(
+        self, name, write, tmp_path
+    ):
+        path = tmp_path / name
+        write(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        storage = open_storage(path)
+        try:
+            with pytest.raises(StorageError, match="not a journal"):
+                Study.create(storage, "s")
+            with pytest.raises(StorageError, match="not a journal"):
+                storage.recover()
+        finally:
+            storage.close()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "torn",
+        [encode_record({"op": "first"})[:1], b"\0" * 512],
+        ids=["first-byte", "nul-fill"],
+    )
+    def test_torn_first_record_recovers_empty(self, torn, tmp_path):
+        path = tmp_path / "torn.journal"
+        path.write_bytes(torn)
+        storage = JournalStorage(path)
+        try:
+            assert storage.recover() == (0, len(torn))
+            assert path.stat().st_size == 0
+            Study.create(storage, "s")
+            assert list_studies(storage) == ["s"]
+        finally:
+            storage.close()
 
 
 class TestJournalRecovery:
@@ -235,6 +291,41 @@ class TestJournalLocking:
                     pass  # pragma: no cover
         a.close()
         b.close()
+
+    def test_threaded_contention_regression(self, tmp_path):
+        """6 threads x 30 claim/tell compound ops on one journal handle
+        finish quickly and exactly: no lost, doubled or stalled op."""
+        import time as _time
+
+        storage = JournalStorage(tmp_path / "s.journal")
+        study = Study.create(storage, "s")
+        study.enqueue_many([np.zeros(2)] * 180)
+        errors: list[Exception] = []
+
+        def work(i):
+            try:
+                for _ in range(30):
+                    r = study.claim(f"w{i}", ttl=60.0)
+                    if r is not None:
+                        study.tell(
+                            r.trial_id, f"w{i}",
+                            np.array([float(r.trial_id), 1.0]),
+                        )
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        t0 = _time.monotonic()
+        ts = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join()
+        elapsed = _time.monotonic() - t0
+        assert not errors
+        assert study.state.completed == 180
+        # Generous wall-clock bound: contention stalls blow way past it.
+        assert elapsed < 30.0
+        storage.close()
 
 
 @pytest.fixture(params=BACKENDS)
@@ -575,7 +666,7 @@ class TestNewsProbe:
         assert storage.news() is False
         assert [op["op"] for _, op in storage.read(1)] == ["b"]
 
-    @pytest.mark.parametrize("kind", ["journal", "sqlite"])
+    @pytest.mark.parametrize("kind", ["journal"])
     def test_external_writer_detected(self, kind, tmp_path):
         ours = make_storage(kind, tmp_path)
         ours.append([{"op": "a"}])
@@ -599,12 +690,10 @@ class TestGroupCommit:
     latency, and the same torn-tail crash contract as per-op fsync."""
 
     def make_group(self, kind, tmp_path, **kwargs):
-        """A group-committing journal; SQLite has one commit path."""
-        if kind == "journal":
-            return JournalStorage(
-                tmp_path / "g.journal", group_commit=True, **kwargs
-            )
-        return SQLiteStorage(tmp_path / "g.db")
+        """A group-committing journal."""
+        return JournalStorage(
+            tmp_path / "g.journal", group_commit=True, **kwargs
+        )
 
     @pytest.mark.parametrize("kind", ["journal"])
     def test_concurrent_appends_coalesce(self, kind, tmp_path):
@@ -635,16 +724,12 @@ class TestGroupCommit:
         assert stats["mean_batch"] > 1.0
         storage.close()
 
-    @pytest.mark.parametrize("kind", ["journal", "sqlite"])
+    @pytest.mark.parametrize("kind", ["journal"])
     def test_durable_across_reopen(self, kind, tmp_path):
         storage = self.make_group(kind, tmp_path)
         storage.append([{"op": "a", "i": i} for i in range(5)])
         storage.close()
-        again = (
-            JournalStorage(tmp_path / "g.journal")
-            if kind == "journal"
-            else SQLiteStorage(tmp_path / "g.db")
-        )
+        again = JournalStorage(tmp_path / "g.journal")
         assert [op["i"] for _, op in again.read(0)] == list(range(5))
         again.close()
 
@@ -785,58 +870,4 @@ class TestReclaimHeap:
         study.claim("w", ttl=10.0, now=0.0)
         cold = Study.load(JournalStorage(tmp_path / "h.journal"), "s")
         assert cold.reclaim_stale(now=11.0) == [(0, "pending")]
-        storage.close()
-
-
-class TestSQLiteSharedConnection:
-    """One connection per (process, database) with cached prepared
-    statements -- and no lock-contention pathologies under threads."""
-
-    def test_same_process_handles_share_connection(self, tmp_path):
-        a = SQLiteStorage(tmp_path / "s.db")
-        b = SQLiteStorage(tmp_path / "s.db")
-        assert a._record().conn is b._record().conn
-        a.append([{"op": "x"}])
-        assert [op["op"] for _, op in b.read(0)] == ["x"]
-        a.close()
-        # Still usable through b after a closed (refcounted registry).
-        b.append([{"op": "y"}])
-        assert len(b.read(0)) == 2
-        b.close()
-
-    def test_threaded_contention_regression(self, tmp_path):
-        """6 threads x 30 compound ops on one shared database finish
-        quickly and exactly -- the regression that motivated the shared
-        connection was 'database is locked' stalls between handles."""
-        import threading
-        import time as _time
-
-        storage = SQLiteStorage(tmp_path / "s.db")
-        study = Study.create(storage, "s")
-        study.enqueue_many([np.zeros(2)] * 180)
-        errors: list[Exception] = []
-
-        def work(i):
-            try:
-                for _ in range(30):
-                    r = study.claim(f"w{i}", ttl=60.0)
-                    if r is not None:
-                        study.tell(
-                            r.trial_id, f"w{i}",
-                            np.array([float(r.trial_id), 1.0]),
-                        )
-            except Exception as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        t0 = _time.monotonic()
-        ts = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        elapsed = _time.monotonic() - t0
-        assert not errors
-        assert study.state.completed == 180
-        # Generous wall-clock bound: contention stalls blow way past it.
-        assert elapsed < 30.0
         storage.close()
