@@ -8,6 +8,9 @@ count and RNG stream all survive the round trip.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import pickle
 
 import numpy as np
@@ -248,3 +251,59 @@ class TestCheckpointFormat:
         ]
         with open(tmp_path / "durable.pkl", "rb") as fh:
             assert pickle.load(fh) == {"payload": 1}
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _archive_digest(solutions) -> str:
+    """SHA-256 over each member's float64 variables then objectives (the
+    digest ``tests/data/make_legacy_checkpoint.py`` records)."""
+    h = hashlib.sha256()
+    for s in solutions:
+        h.update(np.asarray(s.variables, dtype=np.float64).tobytes())
+        h.update(np.asarray(s.objectives, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestLegacyCheckpoint:
+    """A committed checkpoint written by an older tree keeps restoring.
+
+    Its pickled config still has the retired
+    ``frequency_bias_correction`` attribute (set) and its state an
+    ``arrival_counts`` map; both are ignored on restore."""
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        path = tmp_path / "legacy_borg.ckpt"
+        with open(os.path.join(DATA, "legacy_borg.ckpt"), "rb") as src:
+            path.write_bytes(src.read())
+        with open(os.path.join(DATA, "legacy_borg.json")) as fh:
+            return str(path), json.load(fh)
+
+    def test_fixture_is_legacy(self, legacy):
+        path, _ = legacy
+        state = load_checkpoint(path)["state"]
+        assert state["config"].__dict__["frequency_bias_correction"] is True
+        assert sum(state["arrival_counts"].values()) > 0
+
+    def test_restores_recorded_nfe_and_archive(self, legacy):
+        path, expected = legacy
+        moea = BorgMOEA.from_checkpoint(DTLZ2(nobjs=2, nvars=11), path)
+        assert moea.engine.nfe == expected["nfe"]
+        assert len(moea.engine.archive) == expected["archive_size"]
+        assert (_archive_digest(moea.engine.archive.solutions)
+                == expected["archive_sha256"])
+
+    def test_runs_on_deterministically(self, legacy):
+        path, expected = legacy
+        runs = [
+            BorgMOEA.from_checkpoint(DTLZ2(nobjs=2, nvars=11), path).run(
+                expected["nfe"] + 300
+            )
+            for _ in range(2)
+        ]
+        assert runs[0].nfe == runs[1].nfe == expected["nfe"] + 300
+        assert len(runs[0].archive) > 0
+        assert (_archive_digest(runs[0].archive.solutions)
+                == _archive_digest(runs[1].archive.solutions))
