@@ -13,7 +13,7 @@ Borg tailor itself to problems of widely varying structure.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,41 +42,17 @@ class OperatorSelector:
         self.selection_counts[i] += 1
         return self.operators[i]
 
-    def update(
-        self,
-        archive_counts: Mapping[str, int],
-        arrivals: Optional[Mapping[str, int]] = None,
-    ) -> np.ndarray:
+    def update(self, archive_counts: Mapping[str, int]) -> np.ndarray:
         """Recompute probabilities from archive membership counts.
 
         ``archive_counts`` maps operator names to the number of current
         archive members they produced (solutions tagged ``"initial"`` or
         other unknown tags are ignored).
-
-        ``arrivals``, when given, maps operator names to how many of
-        each operator's offspring have actually *arrived* (been
-        ingested) so far, and enables frequency-based bias correction
-        (Harada, arXiv:2107.12053): under an asynchronous master with
-        heterogeneous evaluation times, operators whose offspring
-        return faster get more archive-credit opportunities per unit
-        time, so raw membership counts conflate quality with arrival
-        rate.  Scaling each count by ``mean_arrivals / arrivals_i``
-        rewards archive membership *per arrival* instead, keeping the
-        comparison fair.  Operators with zero recorded arrivals keep
-        their raw count (there is no rate to normalise by).
         """
         counts = np.array(
             [max(0, archive_counts.get(op.name, 0)) for op in self.operators],
             dtype=float,
         )
-        if arrivals is not None:
-            rates = np.array(
-                [max(0, arrivals.get(op.name, 0)) for op in self.operators],
-                dtype=float,
-            )
-            active = rates > 0
-            if np.any(active):
-                counts[active] *= rates[active].mean() / rates[active]
         weights = counts + self.zeta
         self.probabilities = weights / weights.sum()
         return self.probabilities

@@ -20,7 +20,7 @@ naturally, exactly as in the C/MPI implementation.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -66,12 +66,6 @@ class BorgConfig:
     multiparent_arity: int = 10
     #: Evaluations between archive snapshots in the run history.
     snapshot_interval: int = 100
-    #: Normalise archive-credit counts by each operator's arrival
-    #: frequency before the adaptive probability update (Harada,
-    #: arXiv:2107.12053).  Corrects the evaluation-time bias an
-    #: asynchronous master accumulates with heterogeneous workers; off
-    #: by default to keep reference trajectories unchanged.
-    frequency_bias_correction: bool = False
 
     def __post_init__(self) -> None:
         if self.initial_population_size < 2:
@@ -147,9 +141,6 @@ class BorgEngine:
         #: Unevaluated solutions awaiting dispatch (multi-offspring
         #: surplus and restart injections).
         self._pending: deque[Solution] = deque()
-        #: Ingested results per producing-operator tag; the arrival
-        #: frequencies behind ``config.frequency_bias_correction``.
-        self.arrival_counts: Counter[str] = Counter()
         #: Population size the engine is currently filling toward.
         self._fill_target = self.config.initial_population_size
         self._init_issued = 0
@@ -222,7 +213,6 @@ class BorgEngine:
         if not solution.evaluated:
             raise ValueError("ingest requires an evaluated solution")
         self.nfe += 1
-        self.arrival_counts[solution.operator] += 1
 
         if len(self.population) < self._fill_target:
             self.population.append(solution)
@@ -248,9 +238,7 @@ class BorgEngine:
                 )
 
         if self.nfe % self.config.adaptation_interval == 0:
-            self.selector.update(
-                self.archive.operator_counts, self._selection_arrivals()
-            )
+            self.selector.update(self.archive.operator_counts)
             if self.publisher is not None:
                 self.publisher.emit(
                     "operator-update",
@@ -298,9 +286,7 @@ class BorgEngine:
 
         self._fill_target = plan.new_population_size
         self.tournament_size = plan.tournament_size
-        self.selector.update(
-            self.archive.operator_counts, self._selection_arrivals()
-        )
+        self.selector.update(self.archive.operator_counts)
         if self.on_restart is not None:
             self.on_restart(plan)
         if self.publisher is not None:
@@ -312,13 +298,6 @@ class BorgEngine:
                 injections=plan.injections,
                 reason=plan.reason,
             )
-
-    def _selection_arrivals(self) -> Optional[Counter]:
-        """Arrival counts for the selector update, or ``None`` when
-        frequency-bias correction is disabled."""
-        if self.config.frequency_bias_correction:
-            return self.arrival_counts
-        return None
 
     # -- summaries ----------------------------------------------------------------
     def operator_probabilities(self) -> dict[str, float]:

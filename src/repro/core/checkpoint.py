@@ -126,7 +126,6 @@ def engine_state(
             ),
             "operator_names": [op.name for op in engine.selector.operators],
         },
-        "arrival_counts": dict(engine.arrival_counts),
         "restarter": {
             "improvements_at_last_check": engine.restarter._improvements_at_last_check,
             "last_check_nfe": engine.restarter._last_check_nfe,
@@ -285,7 +284,8 @@ def restore_engine(
     path to a checkpoint file.  ``config`` defaults to the
     checkpointed configuration; pass one explicitly only to override
     it (at your own risk -- resuming under different parameters is no
-    longer the same run).
+    longer the same run).  State keys and pickled config attributes
+    that this build does not read are ignored.
     """
     from .borg import BorgEngine  # circular at module import time
 
@@ -325,9 +325,6 @@ def restore_engine(
     engine.selector.selection_counts = np.array(
         state["selector"]["selection_counts"], dtype=int
     )
-    # Older version-1 checkpoints predate arrival tracking; absent
-    # counts restore as empty (bias correction then warms up afresh).
-    engine.arrival_counts.update(state.get("arrival_counts", {}))
     engine.restarter._improvements_at_last_check = state["restarter"][
         "improvements_at_last_check"
     ]
