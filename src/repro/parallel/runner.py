@@ -28,7 +28,6 @@ BACKENDS = (
     "virtual-async",
     "virtual-sync",
     "threads",
-    "threads-sync",
     "processes",
 )
 
@@ -108,5 +107,4 @@ def optimize(
     )
     if backend == "processes":
         return run_process_master_slave(problem, processors, max_nfe, **kwargs)
-    sync = backend == "threads-sync"
-    return run_threaded_master_slave(problem, processors, max_nfe, sync=sync, **kwargs)
+    return run_threaded_master_slave(problem, processors, max_nfe, **kwargs)

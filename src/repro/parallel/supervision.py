@@ -412,13 +412,11 @@ def run_master_loop(
     checkpoint_interval: Optional[int] = None,
     resume: Optional[str] = None,
     publisher=None,
-    sync: bool = False,
 ):
     """Supervised master-slave Borg over ``pool``'s workers.
 
     Asynchronous: a task of ``batch_size`` candidates per worker stays
-    in flight, each ingested reply replaced at once (§II); ``sync=True``
-    dispatches a generation only when the previous one is all in.  Each
+    in flight, each ingested reply replaced at once (§II).  Each
     iteration sweeps liveness and deadlines, then waits up to
     ``poll_interval`` for a reply; lost, failed and corrupt tasks are
     re-dispatched.  The clock stops before the pool shuts down.
@@ -471,8 +469,6 @@ def run_master_loop(
         pool.submit(wid, record.task_id, np.stack([c.variables for c in record.group]))
 
     def refill() -> None:
-        if sync and table:
-            return  # a generation is dispatched only once the last is in
         while len(table) < pool.size:
             remaining = max_nfe - engine.nfe - table.candidates_in_flight()
             if remaining <= 0:

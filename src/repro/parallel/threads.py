@@ -114,7 +114,6 @@ def run_threaded_master_slave(
     config: Optional[BorgConfig] = None,
     seed: Optional[int] = None,
     snapshot_interval: Optional[int] = None,
-    sync: bool = False,
     batch_size: int = 1,
     supervisor: Optional[SupervisorConfig] = None,
     checkpoint: Optional[str] = None,
@@ -122,8 +121,8 @@ def run_threaded_master_slave(
     resume: Optional[str] = None,
     publisher=None,
 ) -> ParallelRunResult:
-    """Asynchronous (or generational, with ``sync=True``) master-slave
-    Borg on ``processors - 1`` worker threads.
+    """Asynchronous master-slave Borg on ``processors - 1`` worker
+    threads.
 
     The master thread owns the engine exclusively; workers only
     evaluate.  Shared state is limited to two queues, so no locks are
@@ -143,5 +142,5 @@ def run_threaded_master_slave(
         config=config, seed=seed, snapshot_interval=snapshot_interval,
         batch_size=batch_size, supervisor=supervisor, checkpoint=checkpoint,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        publisher=publisher, sync=sync,
+        publisher=publisher,
     )

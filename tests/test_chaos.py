@@ -551,15 +551,6 @@ class TestThreadChaos:
         assert first - start < 1.0
         assert res.elapsed <= wall < 3.0
 
-    def test_sync_mode_with_errors(self, small_config):
-        prob = FaultyProblem(DTLZ2(nobjs=2), crash_rate=0.1,
-                             crash_mode="raise", seed=23)
-        res = run_threaded_master_slave(
-            prob, 4, 120, config=small_config, seed=3, sync=True,
-            supervisor=FAST,
-        )
-        assert res.nfe == 120
-
 
 # ---------------------------------------------------------------------------
 # Facade + measured-vs-modeled summary schema

@@ -30,12 +30,6 @@ class TestThreadsBackend:
         assert result.worker_evaluations.sum() >= 400
         assert len(result.borg.archive) > 0
 
-    def test_sync_completes(self, small_config):
-        result = run_threaded_master_slave(
-            small_problem(), 5, 400, config=small_config, seed=1, sync=True
-        )
-        assert result.nfe == 400
-
     def test_all_workers_participate(self, small_config):
         result = run_threaded_master_slave(
             small_problem(), 5, 400, config=small_config, seed=1
@@ -75,11 +69,10 @@ class TestThreadsBackend:
         )
         assert result.observed["tf"].count >= 100
 
-    @pytest.mark.parametrize("sync", [False, True])
-    def test_batched_dispatch_completes(self, small_config, sync):
+    def test_batched_dispatch_completes(self, small_config):
         result = run_threaded_master_slave(
             small_problem(), 3, 130, config=small_config, seed=1,
-            sync=sync, batch_size=8,
+            batch_size=8,
         )
         assert result.nfe == 130
         assert result.worker_evaluations.sum() == 130
@@ -160,6 +153,8 @@ class TestOptimizeFacade:
             optimize(small_problem(), 100, backend="quantum")
 
     def test_backends_constant_is_complete(self):
-        assert "serial" in BACKENDS
-        assert "virtual-async" in BACKENDS
-        assert "processes" in BACKENDS
+        # Every real backend runs the one asynchronous master loop; the
+        # synchronous model runs on the virtual clock only.
+        assert BACKENDS == (
+            "serial", "virtual-async", "virtual-sync", "threads", "processes",
+        )
