@@ -36,9 +36,7 @@ from .events import (
     StopProcess,
     Timeout,
 )
-from .monitor import SpanTracker
 from .resources import Release, Request, Resource
-from .store import Store, StoreGet, StorePut
 
 __all__ = [
     "Environment",
@@ -54,8 +52,4 @@ __all__ = [
     "Resource",
     "Request",
     "Release",
-    "Store",
-    "StorePut",
-    "StoreGet",
-    "SpanTracker",
 ]

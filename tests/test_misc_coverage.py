@@ -93,7 +93,7 @@ class TestReprSmoke:
     def test_various_reprs(self, dtlz2_2d, fast_timing):
         from repro.cluster import ConstantLatency, Timeline, ranger
         from repro.core import Population, Solution
-        from reference.simkit import Environment, Resource, Store
+        from reference.simkit import Environment, Resource
         from repro.stats import Gamma
 
         objects = [
@@ -102,7 +102,6 @@ class TestReprSmoke:
             Solution(np.zeros(2)),
             Environment(),
             Resource(Environment()),
-            Store(Environment()),
             ranger(),
             ConstantLatency(6e-6),
             Gamma.from_mean_cv(1.0, 0.5),

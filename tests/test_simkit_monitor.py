@@ -1,5 +1,4 @@
-"""Unit tests for the running monitors of :mod:`repro.stats` and the
-simkit span tracker kept with the reference engine."""
+"""Unit tests for the running monitors of :mod:`repro.stats`."""
 
 import math
 
@@ -7,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.stats import SeriesMonitor, TallyMonitor
-
-from reference.simkit import SpanTracker
 
 
 class TestTallyMonitor:
@@ -89,44 +86,6 @@ class TestSeriesMonitor:
         assert SeriesMonitor().time_average() == 0.0
 
 
-class TestSpanTracker:
-    def test_basic_spans(self):
-        t = SpanTracker()
-        t.begin(0.0, "tf")
-        t.end(2.0)
-        t.begin(3.0, "tf")
-        t.end(5.0)
-        assert t.total("tf") == pytest.approx(4.0)
-        assert t.busy_total() == pytest.approx(4.0)
-        assert t.idle_total(horizon=10.0) == pytest.approx(6.0)
-
-    def test_double_begin_raises(self):
-        t = SpanTracker()
-        t.begin(0.0, "tf")
-        with pytest.raises(RuntimeError):
-            t.begin(1.0, "tc")
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            SpanTracker().end(1.0)
-
-    def test_backwards_span_raises(self):
-        t = SpanTracker()
-        t.begin(5.0, "tf")
-        with pytest.raises(ValueError):
-            t.end(4.0)
-
-    def test_total_by_label(self):
-        t = SpanTracker()
-        t.begin(0.0, "tc")
-        t.end(1.0)
-        t.begin(1.0, "ta")
-        t.end(4.0)
-        assert t.total("tc") == pytest.approx(1.0)
-        assert t.total("ta") == pytest.approx(3.0)
-        assert t.total("tf") == 0.0
-
-
 class TestNoRecordFastMode:
     """Monitors keep summary statistics without per-event history."""
 
@@ -162,23 +121,3 @@ class TestNoRecordFastMode:
         mon.record(10.0, 3.0)
         with pytest.raises(ValueError, match="precedes the last sample"):
             mon.time_average(until=5.0)
-
-    def test_span_tracker_memory_bounded(self):
-        lean = SpanTracker(record=False)
-        full = SpanTracker()
-        t = 0.0
-        for i in range(5_000):
-            label = "send" if i % 2 else "recv"
-            lean.begin(t, label)
-            full.begin(t, label)
-            t += 1.5
-            lean.end(t)
-            full.end(t)
-            t += 0.5
-        assert lean.spans == []
-        assert len(full.spans) == 5_000
-        assert lean.count == full.count == 5_000
-        for label in ("send", "recv"):
-            assert lean.total(label) == pytest.approx(full.total(label))
-        assert lean.busy_total() == pytest.approx(full.busy_total())
-        assert lean.idle_total(t) == pytest.approx(full.idle_total(t))
