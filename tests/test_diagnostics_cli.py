@@ -208,6 +208,23 @@ class TestCLI:
         assert "virtual s" in out
         assert "Normalised hypervolume" in out
 
+    def test_solve_backend_choices_are_the_backends(self):
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.parallel import BACKENDS
+
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        backend = next(
+            a for a in commands.choices["solve"]._actions
+            if a.dest == "backend"
+        )
+        assert tuple(backend.choices) == BACKENDS
+
     def test_bounds_command(self, capsys):
         from repro.cli import main
 
