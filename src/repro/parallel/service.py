@@ -58,7 +58,7 @@ from ..core.borg import BorgConfig, BorgEngine, BorgResult
 from ..core.checkpoint import engine_state, restore_engine
 from ..core.solution import Solution
 from ..problems.base import Problem
-from ..storage import RetryPolicy, StorageError, Study, StudyCache
+from ..storage import CorruptRecord, RetryPolicy, StorageError, Study, StudyCache
 from ..storage.study import TRIAL_PENDING, TRIAL_RUNNING, StudyError
 
 __all__ = [
@@ -215,6 +215,8 @@ class StorageBackedRunner:
         for attempt in range(1, STORAGE_RETRY.budget + 1):
             try:
                 return fn(*args, **kwargs)
+            except CorruptRecord:
+                raise  # permanent: a retry reads the same bytes
             except StorageError:
                 self._storage_retries += 1
                 if attempt == STORAGE_RETRY.budget:
@@ -456,6 +458,8 @@ class StorageBackedRunner:
         study = self.study
         try:
             study.refresh()
+        except CorruptRecord:
+            raise
         except StorageError:
             return "idle"
         if study.state.finished:
@@ -463,7 +467,7 @@ class StorageBackedRunner:
         now = time.time()
         try:
             is_master = self._try_become_master(now)
-        except StudyError:
+        except (StudyError, CorruptRecord):
             raise  # a corrupt study, not a transient storage fault
         except StorageError:
             is_master = False
@@ -474,6 +478,8 @@ class StorageBackedRunner:
             if processed:
                 self.evaluated += processed
                 return "worked"
+        except CorruptRecord:
+            raise
         except StorageError:
             pass  # op retries exhausted; lease expiry re-queues it
         return "idle"

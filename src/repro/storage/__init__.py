@@ -20,7 +20,13 @@ from __future__ import annotations
 
 import os
 
-from .base import RetryPolicy, StorageBackend, StorageError, StorageLockTimeout
+from .base import (
+    CorruptRecord,
+    RetryPolicy,
+    StorageBackend,
+    StorageError,
+    StorageLockTimeout,
+)
 from .cache import StudyCache
 from .chaos import FaultyStorage
 from .journal import JournalStorage
@@ -39,6 +45,7 @@ from .study import (
 )
 
 __all__ = [
+    "CorruptRecord",
     "FaultyStorage",
     "InMemoryStorage",
     "JournalStorage",
@@ -65,8 +72,8 @@ def open_storage(spec: str | os.PathLike, **kwargs) -> StorageBackend:
     """Open a storage backend from a path/URL spec.
 
     ``"memory://"`` → a fresh :class:`InMemoryStorage`; any other path
-    → :class:`JournalStorage` (which refuses to write over a file that
-    is not a journal).  ``kwargs`` pass through to the backend
+    → :class:`JournalStorage` (which refuses to open a file that is not
+    a journal).  ``kwargs`` pass through to the backend
     constructor.
     """
     spec = os.fspath(spec)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
+    "CorruptRecord",
     "RetryPolicy",
     "StorageBackend",
     "StorageError",
@@ -63,6 +64,18 @@ class StorageError(RuntimeError):
 
 class StorageLockTimeout(StorageError):
     """The cross-process storage lock could not be acquired in time."""
+
+
+class CorruptRecord(StorageError):
+    """Stored bytes that no retry can turn into an op: a record whose
+    checksum matches but whose payload does not decode, or a file that
+    is not a journal at all.  Unlike a torn tail, nothing may truncate
+    them.  ``offset`` is where the bad bytes start in the scanned
+    buffer."""
+
+    def __init__(self, message: str, offset: int = 0) -> None:
+        super().__init__(message)
+        self.offset = offset
 
 
 @dataclass

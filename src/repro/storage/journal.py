@@ -35,8 +35,10 @@ Crash-safety invariants:
   whose first bytes are neither a prefix of :data:`RECORD_MAGIC` nor
   NUL fill (what a crash during the very first append can leave) is
   not a torn journal but some other file -- a CSV, a SQLite database.
-  A writer raises :exc:`~repro.storage.base.StorageError` naming the
-  path and leaves its bytes alone.
+  Opening one raises :exc:`~repro.storage.base.CorruptRecord` before
+  the journal or its lock sidecar is created, and leaves its bytes
+  alone.  So does every read and append of a file turned foreign later,
+  and of a record whose CRC32 matches but which does not decode.
 * **Advisory file lock.**  Appends (and compound read-modify-append
   operations in the Study layer) serialize across OS processes via
   ``flock`` on a sidecar ``<path>.lock`` file, with a bounded
@@ -71,6 +73,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
 from .base import (
+    CorruptRecord,
     StorageBackend,
     StorageError,
     StorageLockTimeout,
@@ -83,7 +86,7 @@ try:  # POSIX only; the CI/production target.  Windows gets a no-op lock.
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-__all__ = ["JournalStorage", "RECORD_MAGIC", "encode_record", "scan_records"]
+__all__ = ["JournalStorage", "RECORD_MAGIC", "encode_record", "scan_all"]
 
 #: Two magic bytes open every record; a reader landing on anything else
 #: knows immediately that the tail is torn (or the file is foreign).
@@ -101,48 +104,50 @@ def encode_record(op: dict) -> bytes:
     return _HEADER.pack(RECORD_MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
-def scan_records(buf: bytes, offset: int = 0):
-    """Scan ``buf`` from ``offset``; yields ``(end_offset, op)`` per
-    intact record and stops (without raising) at the first torn one.
-
-    Returns the offset one past the last intact record via the
-    generator's ``StopIteration`` value (use :func:`scan_all` for the
-    eager form).
-    """
-    pos = offset
-    n = len(buf)
-    while True:
-        if pos + _HEADER.size > n:
-            return pos
-        magic, length, crc = _HEADER.unpack_from(buf, pos)
-        if magic != RECORD_MAGIC or length > MAX_RECORD_BYTES:
-            return pos
-        end = pos + _HEADER.size + length
-        if end > n:
-            return pos
-        payload = buf[pos + _HEADER.size : end]
-        if zlib.crc32(payload) != crc:
-            return pos
-        try:
-            op = decode_op(payload)
-        except Exception:
-            # CRC collisions are ~impossible, but a record written by a
-            # different codec version must not kill replay.
-            return pos
-        yield end, op
-        pos = end
+def _refuse_foreign(path: str, head: bytes) -> None:
+    """Raise :exc:`CorruptRecord` unless ``head``, the first bytes of a
+    file with no intact record, can start a journal: empty, a prefix of
+    :data:`RECORD_MAGIC` (a torn first record) or NUL fill (what a
+    crash can leave before the first append's data reaches disk)."""
+    head = head[: len(RECORD_MAGIC)]
+    if head and not RECORD_MAGIC.startswith(head) and head.strip(b"\0"):
+        raise CorruptRecord(
+            f"{path!r} is not a journal (starts with {head!r}); "
+            f"refusing to touch it"
+        )
 
 
 def scan_all(buf: bytes, offset: int = 0) -> tuple[list[dict], int]:
-    """Eagerly scan ``buf``; returns ``(ops, clean_end_offset)``."""
+    """Scan ``buf`` from ``offset``; returns ``(ops, clean_end)``: the op
+    of every intact record and the offset one past the last of them.
+
+    The scan stops, without raising, at the first torn record (short
+    header or payload, bad magic or CRC).  A record whose CRC matches
+    but which does not decode raises :exc:`CorruptRecord`, ``offset``
+    at its start in ``buf``.
+    """
     ops: list[dict] = []
-    gen = scan_records(buf, offset)
-    while True:
+    pos, n = offset, len(buf)
+    while pos + _HEADER.size <= n:
+        magic, length, crc = _HEADER.unpack_from(buf, pos)
+        end = pos + _HEADER.size + length
+        if magic != RECORD_MAGIC or length > MAX_RECORD_BYTES or end > n:
+            break
+        payload = buf[pos + _HEADER.size : end]
+        if zlib.crc32(payload) != crc:
+            break
         try:
-            end, op = next(gen)
-        except StopIteration as stop:
-            return ops, stop.value if stop.value is not None else offset
-        ops.append(op)
+            ops.append(decode_op(payload))
+        except Exception as exc:
+            # A writer meant these checksummed bytes: stopping here as at
+            # a torn tail would let the next writer truncate them and
+            # every record after them.
+            raise CorruptRecord(
+                f"a record passed its checksum but does not decode: {exc!r}",
+                offset=pos,
+            ) from exc
+        pos = end
+    return ops, pos
 
 
 class _GroupSync:
@@ -264,6 +269,11 @@ class JournalStorage(StorageBackend):
         self.path = os.fspath(path)
         self.fsync = fsync
         self.lock_timeout = lock_timeout
+        try:
+            with open(self.path, "rb") as fh:
+                _refuse_foreign(self.path, fh.read(len(RECORD_MAGIC)))
+        except FileNotFoundError:
+            pass
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         # Create the journal eagerly so readers can open it immediately.
@@ -368,6 +378,19 @@ class JournalStorage(StorageBackend):
             fh.seek(offset)
             return fh.read()
 
+    def _scan(self, offset: int) -> tuple[list[dict], int]:
+        """:func:`scan_all` over the file from byte ``offset`` (the end
+        is relative to it), naming the path in a :exc:`CorruptRecord`."""
+        buf = self._read_from(offset)
+        try:
+            ops, end = scan_all(buf)
+        except CorruptRecord as exc:
+            at = offset + exc.offset
+            raise CorruptRecord(f"{self.path!r} byte {at}: {exc}", at) from exc
+        if offset == 0 and end == 0:
+            _refuse_foreign(self.path, buf)
+        return ops, end
+
     def _refresh_cache(self) -> None:
         """Advance the clean-scan cache over any bytes appended since
         the last scan (full rescan if the file shrank under us -- a
@@ -377,8 +400,7 @@ class JournalStorage(StorageBackend):
         if size < self._pos:
             self._pos = 0
             self._seq = 0
-        buf = self._read_from(self._pos)
-        ops, end = scan_all(buf)
+        ops, end = self._scan(self._pos)
         self._decoded_tail = ops  # ops since the previous cache head
         self._tail_base_seq = self._seq
         self._seq += len(ops)
@@ -394,7 +416,7 @@ class JournalStorage(StorageBackend):
                     (from_seq + i, op) for i, op in enumerate(tail)
                 ]
         # Cold read (a fresh consumer behind our cache): rescan the file.
-        ops, _ = scan_all(self._read_from(0))
+        ops, _ = self._scan(0)
         return [(i, op) for i, op in enumerate(ops) if i >= from_seq]
 
     def news(self) -> bool:
@@ -432,15 +454,7 @@ class JournalStorage(StorageBackend):
         if size < self._pos:
             self._pos = 0
             self._seq = 0
-        buf = self._read_from(self._pos)
-        ops, end = scan_all(buf)
-        if self._pos == 0 and end == 0 and buf:
-            head = buf[: len(RECORD_MAGIC)]
-            if not RECORD_MAGIC.startswith(head) and head.strip(b"\0"):
-                raise StorageError(
-                    f"{self.path!r} is not a journal (no intact record; "
-                    f"starts with {head!r}); refusing to truncate it"
-                )
+        ops, end = self._scan(self._pos)
         self._seq += len(ops)
         self._pos += end
         torn = size - self._pos

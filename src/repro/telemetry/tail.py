@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ..storage.base import StorageBackend, StorageError
+from ..storage.base import CorruptRecord, StorageBackend, StorageError
 from ..storage.study import StudyState, apply_op
 from . import events as ev
 from .events import Event, EventBus
@@ -145,6 +145,8 @@ class JournalTailer:
         derived events (already published to :attr:`bus`, if any)."""
         try:
             batch = self.storage.read(self.next_seq)
+        except CorruptRecord:
+            raise  # permanent: no later poll can read past it
         except StorageError:
             # Transient (a writer holds the file mid-recovery, an
             # injected fault): surface nothing, retry on the next poll.

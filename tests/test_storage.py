@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage import (
+    CorruptRecord,
     FaultyStorage,
     InMemoryStorage,
     JournalStorage,
@@ -34,7 +37,8 @@ from repro.storage import (
     list_studies,
     open_storage,
 )
-from repro.storage.journal import encode_record, scan_all
+from repro.storage.journal import RECORD_MAGIC, encode_record, scan_all
+from repro.telemetry import JournalTailer
 
 BACKENDS = ("memory", "journal")
 
@@ -126,30 +130,68 @@ def _write_csv(path):
     path.write_text("run,hv\n" + "".join(f"{i},0.{i:04d}\n" for i in range(80)))
 
 
-class TestForeignFile:
-    """A writer refuses a file that is not a journal and leaves its
-    bytes alone; a journal torn inside its first record still heals."""
+_FOREIGN = pytest.mark.parametrize(
+    "name, write",
+    [("foreign.db", _write_sqlite_db), ("foreign.csv", _write_csv)],
+    ids=["sqlite", "text"],
+)
 
-    @pytest.mark.parametrize(
-        "name, write",
-        [("foreign.db", _write_sqlite_db), ("foreign.csv", _write_csv)],
-        ids=["sqlite", "text"],
-    )
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestForeignFile:
+    """A file that is not a journal is refused before anything is
+    created next to it, and its bytes are left alone; a journal torn
+    inside its first record still heals."""
+
+    @_FOREIGN
+    def test_open_refuses_and_creates_nothing(self, name, write, tmp_path):
+        path = tmp_path / name
+        write(path)
+        digest = _sha256(path)
+        with pytest.raises(CorruptRecord, match="not a journal"):
+            open_storage(path)
+        with pytest.raises(CorruptRecord, match="not a journal"):
+            JournalTailer(JournalStorage(path))
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert _sha256(path) == digest
+
+    def test_status_command_exits_nonzero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "r.csv"
+        _write_csv(path)
+        digest = _sha256(path)
+        assert main(["study", "status", "--storage", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "not a journal" in captured.err
+        assert "no studies" not in captured.out
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert _sha256(path) == digest
+
+    @_FOREIGN
     def test_create_and_recover_refuse_and_keep_bytes(
         self, name, write, tmp_path
     ):
+        """A file that turns foreign after a journal opened it fails
+        every reader and writer of that journal."""
         path = tmp_path / name
-        write(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        storage = open_storage(path)
+        storage = JournalStorage(path)
+        tailer = JournalTailer(storage)
         try:
-            with pytest.raises(StorageError, match="not a journal"):
+            write(path)
+            digest = _sha256(path)
+            with pytest.raises(CorruptRecord, match="not a journal"):
                 Study.create(storage, "s")
-            with pytest.raises(StorageError, match="not a journal"):
+            with pytest.raises(CorruptRecord, match="not a journal"):
                 storage.recover()
+            with pytest.raises(CorruptRecord, match="not a journal"):
+                tailer.poll()
         finally:
             storage.close()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert _sha256(path) == digest
 
     @pytest.mark.parametrize(
         "torn",
@@ -167,6 +209,75 @@ class TestForeignFile:
             assert list_studies(storage) == ["s"]
         finally:
             storage.close()
+
+
+def _frame(payload: bytes) -> bytes:
+    """Frame raw payload bytes as a record with a valid checksum."""
+    header = struct.pack("<2sII", RECORD_MAGIC, len(payload), zlib.crc32(payload))
+    return header + payload
+
+
+#: A pickle of a class from a module that does not exist.
+_UNDECODABLE = b"cno_such_module_for_journal_tests\nThing\n)\x81."
+
+
+class TestUndecodableRecord:
+    """A record whose checksum matches but whose payload does not
+    decode is what a writer wrote, not a torn tail: readers and writers
+    raise, and neither it nor the intact records after it are lost."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "undecodable.journal"
+        path.write_bytes(
+            encode_record({"op": "a"})
+            + _frame(_UNDECODABLE)
+            + encode_record({"op": "c"})
+        )
+        return path
+
+    def test_scan_raises_at_the_record(self, path):
+        with pytest.raises(CorruptRecord) as info:
+            scan_all(path.read_bytes())
+        assert info.value.offset == len(encode_record({"op": "a"}))
+
+    def test_readers_and_writers_raise_and_truncate_nothing(self, path):
+        raw = path.read_bytes()
+        storage = JournalStorage(path)
+        try:
+            calls = [
+                lambda: storage.read(0),
+                lambda: storage.append([{"op": "d"}]),
+                storage.recover,
+                lambda: Study.create(storage, "s"),
+                lambda: JournalTailer(storage).poll(),
+            ]
+            for call in calls:
+                with pytest.raises(CorruptRecord, match="does not decode"):
+                    call()
+        finally:
+            storage.close()
+        assert path.read_bytes() == raw
+
+    def test_service_step_stops(self, tmp_path):
+        from repro.parallel.service import StorageBackedRunner
+        from repro.problems import DTLZ2
+
+        path = tmp_path / "s.journal"
+        storage = JournalStorage(path)
+        try:
+            Study.create(storage, "s", meta={"max_nfe": 10})
+            runner = StorageBackedRunner(
+                DTLZ2(nobjs=2, nvars=11), Study.load(storage, "s")
+            )
+            with open(path, "ab") as fh:
+                fh.write(_frame(_UNDECODABLE))
+            raw = path.read_bytes()
+            with pytest.raises(CorruptRecord):
+                runner.step(10)
+        finally:
+            storage.close()
+        assert path.read_bytes() == raw
 
 
 class TestJournalRecovery:
