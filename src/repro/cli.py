@@ -18,6 +18,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -517,10 +518,23 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
+def _no_such_journal(spec: str) -> bool:
+    """True, after saying so on stderr, when ``spec`` names a journal
+    that does not exist.  Verbs that read a study check this before
+    opening it, since opening a path creates the journal: only
+    ``study create`` may do that."""
+    if spec == "memory://" or os.path.exists(spec):
+        return False
+    print(f"repro: no such journal: {spec}", file=sys.stderr)
+    return True
+
+
 def _cmd_study(args) -> int:
     """Durable-study verbs (docs/RESILIENCE.md §6)."""
     from repro.storage import JournalStorage, Study, list_studies, open_storage
 
+    if args.study_command != "create" and _no_such_journal(args.storage):
+        return 1
     storage = open_storage(args.storage)
     try:
         if args.study_command == "create":
@@ -748,6 +762,8 @@ def _cmd_traffic(args) -> int:
 
 def _cmd_serve(args) -> int:
     """``repro serve``: live dashboard or static report."""
+    if _no_such_journal(args.storage):
+        return 1
     if args.report is not None:
         from repro.storage import open_storage
         from repro.telemetry.report import generate_report, render_summary

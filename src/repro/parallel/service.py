@@ -34,6 +34,15 @@ Storage faults (torn writes, lock timeouts -- real or injected by
 exponential backoff; a torn append is invisible to replay, so a retry
 can never double-apply.
 
+Durability: one disk barrier per step.  A step writes its lease
+renewal, reclaims, snapshot, enqueues, finish and claims inside one
+deferred-sync scope of the study (:meth:`Study._deferred`), and the
+scope's exit syncs them all -- together with the previous step's
+``tell``, which is written when its evaluation ends and left to this
+barrier.  Nothing is evaluated, no runner event is published and
+:meth:`StorageBackedRunner.run` does not return while this runner has
+unsynced writes; events wait in an outbox for the next barrier.
+
 Multi-tenancy: :class:`FleetRunner` multiplexes *many* studies over one
 worker process.  Each study gets its own :class:`StorageBackedRunner`
 (sharing one :class:`~repro.storage.StudyCache` over one backend
@@ -160,6 +169,22 @@ def _solution_count(engine: BorgEngine) -> int:
     return len(engine.population) + len(engine.archive)
 
 
+class _Outbox:
+    """A publisher that holds events until :meth:`publish`."""
+
+    def __init__(self, publisher) -> None:
+        self.publisher = publisher
+        self.held: list[tuple[str, dict]] = []
+
+    def emit(self, kind: str, **data) -> None:
+        self.held.append((kind, data))
+
+    def publish(self) -> None:
+        held, self.held = self.held, []
+        for kind, data in held:
+            self.publisher.emit(kind, **data)
+
+
 class StorageBackedRunner:
     """One process of the worker fleet (see module docstring).
 
@@ -183,8 +208,8 @@ class StorageBackedRunner:
         self.service = service or ServiceConfig()
         self.worker_id = worker_id or f"w{os.getpid()}"
         #: Optional telemetry publisher (duck-typed
-        #: :class:`repro.telemetry.EventBus`); also attached to the
-        #: engine on promotion.  Remote observers tail the journal
+        #: :class:`repro.telemetry.EventBus`); the engine's events reach
+        #: it too, through the outbox.  Remote observers tail the journal
         #: instead -- this is for in-process subscribers (tests, the
         #: embedding application).
         self.publisher = publisher
@@ -201,10 +226,18 @@ class StorageBackedRunner:
         self._snapshot_size = 0
         self._was_master = False
         self._storage_retries = 0
+        #: This runner's and its engine's events, held for the barrier
+        #: that makes the ops behind them durable.
+        self._outbox = None if publisher is None else _Outbox(publisher)
 
     def _emit(self, kind: str, **data) -> None:
-        if self.publisher is not None:
-            self.publisher.emit(kind, study=self.study.name, **data)
+        if self._outbox is not None:
+            self._outbox.emit(kind, study=self.study.name, **data)
+
+    def _publish(self) -> None:
+        """Deliver the held events; callers have no unsynced writes."""
+        if self._outbox is not None:
+            self._outbox.publish()
 
     # -- storage-fault resilience -------------------------------------------
     def _robust(self, fn: Callable, *args, **kwargs):
@@ -275,7 +308,7 @@ class StorageBackedRunner:
             self._cursor = 0
             self._snapshot_size = 0
         self._snapshot_cursor = self._cursor
-        self.engine.publisher = self.publisher
+        self.engine.publisher = self._outbox
         self._catch_up_ingest()
 
     def _catch_up_ingest(self) -> int:
@@ -335,7 +368,7 @@ class StorageBackedRunner:
         )
         if headroom > 0:
             # Top up the dispatch window in one compound op: K fresh
-            # candidates, one lock round-trip, one durability barrier.
+            # candidates, one lock round-trip, one append.
             candidates = [
                 self.engine.next_candidate() for _ in range(headroom)
             ]
@@ -359,11 +392,9 @@ class StorageBackedRunner:
         return False
 
     # -- worker role ---------------------------------------------------------
-    def _evaluate_batch(self) -> int:
-        """Claim up to ``claim_batch`` trials in one compound op,
-        evaluate them, tell the successes back in one compound op.
-        Returns the number of trials processed (claimed and resolved
-        one way or the other).
+    def _evaluate_batch(self, records: list) -> None:
+        """Evaluate a claimed batch and tell the successes back in one
+        compound op, written now but left to the next step's barrier.
 
         While the batch is in hand, *all* its leases are renewed with a
         single ``heartbeats`` op whenever a third of the TTL has
@@ -372,14 +403,6 @@ class StorageBackedRunner:
         """
         study = self.study
         service = self.service
-        records = self._robust(
-            study.claim_many,
-            self.worker_id,
-            service.lease_ttl,
-            service.claim_batch,
-        )
-        if not records:
-            return 0
         held = [r.trial_id for r in records]
         for trial_id in held:
             self._emit(
@@ -396,6 +419,9 @@ class StorageBackedRunner:
                     service.lease_ttl,
                 )
                 next_renew = time.time() + service.lease_ttl / 3.0
+            # heartbeat_many and fail are durable on return, so there
+            # is nothing to sync here, only events to publish.
+            self._publish()
             trial_id = record.trial_id
             candidate = Solution(
                 np.array(record.variables, copy=True),
@@ -425,11 +451,12 @@ class StorageBackedRunner:
                 (trial_id, candidate.objectives, constraints, candidate)
             )
         if results:
-            self._robust(
-                study.tell_many,
-                [(tid, obj, con) for tid, obj, con, _ in results],
-                self.worker_id,
-            )
+            with study._deferred(barrier=False):
+                self._robust(
+                    study.tell_many,
+                    [(tid, obj, con) for tid, obj, con, _ in results],
+                    self.worker_id,
+                )
             for trial_id, _, _, candidate in results:
                 self._emit(
                     "eval-finished",
@@ -437,7 +464,6 @@ class StorageBackedRunner:
                     worker=self.worker_id,
                     objectives=[float(x) for x in candidate.objectives],
                 )
-        return len(records)
 
     # -- main loop -----------------------------------------------------------
     def resolve_max_nfe(self, max_nfe: Optional[int] = None) -> int:
@@ -452,18 +478,38 @@ class StorageBackedRunner:
 
     def step(self, max_nfe: int) -> str:
         """One scheduling quantum: refresh, master duties if we hold
-        (or can take) the master lease, then evaluate one claim batch.
-        Returns ``"finished"`` / ``"worked"`` / ``"idle"`` -- the unit
-        a :class:`FleetRunner` round-robins across studies."""
+        (or can take) the master lease, claim one batch -- all behind
+        one disk barrier -- then evaluate the batch.  Returns
+        ``"finished"`` / ``"worked"`` / ``"idle"`` -- the unit a
+        :class:`FleetRunner` round-robins across studies."""
+        with self.study._deferred():
+            records = self._schedule(max_nfe)
+        self._publish()
+        if records is None:
+            return "finished"
+        if not records:
+            return "idle"
+        try:
+            self._evaluate_batch(records)
+        except CorruptRecord:
+            raise
+        except StorageError:
+            return "idle"  # op retries exhausted; lease expiry re-queues it
+        self.evaluated += len(records)
+        return "worked"
+
+    def _schedule(self, max_nfe: int) -> Optional[list]:
+        """The writing half of :meth:`step`: returns the trials claimed
+        for evaluation, or None once the study is finished."""
         study = self.study
         try:
             study.refresh()
         except CorruptRecord:
             raise
         except StorageError:
-            return "idle"
+            return []
         if study.state.finished:
-            return "finished"
+            return None
         now = time.time()
         try:
             is_master = self._try_become_master(now)
@@ -472,17 +518,20 @@ class StorageBackedRunner:
         except StorageError:
             is_master = False
         if is_master and self._master_duties(max_nfe, now):
-            return "finished"
+            return None
+        service = self.service
         try:
-            processed = self._evaluate_batch()
-            if processed:
-                self.evaluated += processed
-                return "worked"
+            records = self._robust(
+                study.claim_many,
+                self.worker_id,
+                service.lease_ttl,
+                service.claim_batch,
+            )
         except CorruptRecord:
             raise
         except StorageError:
-            pass  # op retries exhausted; lease expiry re-queues it
-        return "idle"
+            return []  # op retries exhausted
+        return records
 
     def run(
         self,
@@ -498,22 +547,27 @@ class StorageBackedRunner:
         start = time.perf_counter()
         self.evaluated = 0
         finished = False
-        while True:
-            if (
-                max_seconds is not None
-                and time.perf_counter() - start > max_seconds
-            ):
-                break
-            outcome = self.step(max_nfe)
-            if outcome == "finished":
-                finished = True
-                break
-            if outcome == "idle":
-                time.sleep(self.service.poll_interval)
+        try:
+            while True:
+                if (
+                    max_seconds is not None
+                    and time.perf_counter() - start > max_seconds
+                ):
+                    break
+                outcome = self.step(max_nfe)
+                if outcome == "finished":
+                    finished = True
+                    break
+                if outcome == "idle":
+                    time.sleep(self.service.poll_interval)
+        finally:
+            study.storage.sync()  # the barrier for the last step's tell
+            self._publish()
         study.refresh()
         borg = None
         if self.engine is not None and finished:
             self._catch_up_ingest()
+            self._publish()
             borg = self.engine.result()
         return ServiceResult(
             worker=self.worker_id,
@@ -727,46 +781,53 @@ class FleetRunner:
         ``max_seconds`` elapses)."""
         start = time.perf_counter()
         per_study: dict[str, dict] = {}
-        while True:
-            if (
-                max_seconds is not None
-                and time.perf_counter() - start > max_seconds
-            ):
-                break
-            self._discover()
-            if not self._queue:
-                if self.study_names is not None and len(
-                    self._finished
-                ) >= len(self.study_names):
-                    break  # every requested study done
-                if self.study_names is None and self._finished:
-                    break  # served everything we ever saw
-                time.sleep(self.service.poll_interval)
-                continue
-            self._renew_master_leases()
-            worked = False
-            # One full round-robin pass: every active study gets one
-            # scheduling quantum (fair claiming across tenants).
-            for _ in range(len(self._queue)):
-                name = self._queue.popleft()
-                runner = self._runners[name]
-                outcome = runner.step(self._budgets[name])
-                if outcome == "finished":
-                    self._finished.add(name)
-                    per_study[name] = {
-                        "evaluated": runner.evaluated,
-                        "finished": True,
-                    }
-                    # Drop the runner (and its engine) -- a fleet
-                    # serving thousands of studies must not hoard
-                    # finished engines.
-                    del self._runners[name]
+        try:
+            while True:
+                if (
+                    max_seconds is not None
+                    and time.perf_counter() - start > max_seconds
+                ):
+                    break
+                self._discover()
+                if not self._queue:
+                    if self.study_names is not None and len(
+                        self._finished
+                    ) >= len(self.study_names):
+                        break  # every requested study done
+                    if self.study_names is None and self._finished:
+                        break  # served everything we ever saw
+                    time.sleep(self.service.poll_interval)
                     continue
-                if outcome == "worked":
-                    worked = True
-                self._queue.append(name)
-            if not worked:
-                time.sleep(self.service.poll_interval)
+                self._renew_master_leases()
+                worked = False
+                # One full round-robin pass: every active study gets one
+                # scheduling quantum (fair claiming across tenants).
+                for _ in range(len(self._queue)):
+                    name = self._queue.popleft()
+                    runner = self._runners[name]
+                    outcome = runner.step(self._budgets[name])
+                    if outcome == "finished":
+                        self._finished.add(name)
+                        per_study[name] = {
+                            "evaluated": runner.evaluated,
+                            "finished": True,
+                        }
+                        # Drop the runner (and its engine) -- a fleet
+                        # serving thousands of studies must not hoard
+                        # finished engines.
+                        del self._runners[name]
+                        continue
+                    if outcome == "worked":
+                        worked = True
+                    self._queue.append(name)
+                if not worked:
+                    time.sleep(self.service.poll_interval)
+        finally:
+            # One barrier on the shared handle covers the last tell of
+            # every study this thread served.
+            self.storage.sync()
+            for runner in self._runners.values():
+                runner._publish()
         evaluated = sum(r.evaluated for r in self._runners.values()) + sum(
             s["evaluated"] for s in per_study.values()
         )

@@ -13,14 +13,17 @@ it; this module owns only the framing.
 
 Crash-safety invariants:
 
-* **fsync before acknowledge.**  Every :meth:`JournalStorage.append`
-  returns only after the journal is fsynced past its records, so an
+* **fsync before acknowledge.**  :meth:`JournalStorage.append` returns
+  only after the journal is fsynced past its records, so an
   acknowledged op survives power loss (disable with ``fsync=False``
-  for throughput benchmarks only).  With ``group_commit`` enabled the
-  fsync itself is *coalesced*: concurrent committers write their
-  records under the lock, then park in :class:`_GroupSync` while one
-  of them flushes once for the whole batch -- same guarantee, one
-  disk barrier for N appends.
+  for throughput benchmarks only).  :meth:`JournalStorage.append_lazy`
+  writes its records under the lock and leaves the fsync to the next
+  :meth:`JournalStorage.sync` on the same thread, so a caller that
+  writes several compound ops before acknowledging any of them pays
+  one disk barrier for all of them.  With ``group_commit`` enabled that
+  barrier is also *coalesced across threads*: concurrent committers
+  park in :class:`_GroupSync` while one of them flushes once for the
+  whole batch -- same guarantee, one disk barrier for N appends.
 * **Torn-tail truncation.**  A crash (or ``kill -9``) mid-write leaves
   a *torn* record at the tail: short header, short payload, or a
   payload whose CRC32 does not match.  Readers stop at the first torn
@@ -55,10 +58,13 @@ may rewind the file.
 Deferred durability (:meth:`~repro.storage.base.StorageBackend.append_lazy`
 + :meth:`~repro.storage.base.StorageBackend.sync`) splits an append
 into "publish to the log order" (under the lock) and "wait until
-durable" (after releasing it) -- the shape that lets the Study layer's
-compound read-modify-append operations overlap their disk barriers:
-writer A can validate and write while writer B's fsync is in flight,
-and one flush then covers both.
+durable" (after releasing it).  Every fsync'ing journal defers a lazy
+append's fsync to ``sync()``; ``append`` is exactly a lazy append
+followed by ``sync()``.  The Study layer uses the split twice: its
+compound read-modify-append ops sync after releasing the lock (so on a
+group-commit journal writer A can validate and write while writer B's
+fsync is in flight, and one flush covers both), and a runner step
+writes all its ops before one ``sync()``.
 """
 
 from __future__ import annotations
@@ -311,7 +317,7 @@ class JournalStorage(StorageBackend):
             else None
         )
         #: Per-thread high-water mark of lazily appended bytes awaiting
-        #: :meth:`sync` (group-commit mode only).
+        #: :meth:`sync` (fsync'ing journals only).
         self._lazy = threading.local()
 
     # -- locking -------------------------------------------------------------
@@ -397,6 +403,12 @@ class JournalStorage(StorageBackend):
         writer truncated a torn tail we had already skipped).  Callers
         hold ``_cursor_lock``."""
         size = os.path.getsize(self.path)
+        if size == self._pos:
+            # Nothing new (exact, by the argument in news()): what a
+            # scan of zero bytes would leave, without opening the file.
+            self._decoded_tail = []
+            self._tail_base_seq = self._seq
+            return
         if size < self._pos:
             self._pos = 0
             self._seq = 0
@@ -480,12 +492,13 @@ class JournalStorage(StorageBackend):
             return self._seq - 1
 
     def append(self, ops: Sequence[dict]) -> int:
-        if self._gsync is not None:
-            # Durability barrier outside the lock: followers write
-            # while the leader syncs, and one fsync covers the group.
-            last = self.append_lazy(ops)
-            self.sync()
-            return last
+        last = self.append_lazy(ops)
+        self.sync()
+        return last
+
+    def append_lazy(self, ops: Sequence[dict]) -> int:
+        """Publish ``ops`` to the log order now; defer the fsync to this
+        thread's next :meth:`sync`."""
         if not ops:
             return self._seq - 1
         self.append_calls += 1
@@ -493,32 +506,21 @@ class JournalStorage(StorageBackend):
         with self.lock():
             last = self._write_records(ops)
             if self.fsync:
-                fh = self._write_handle()
-                os.fsync(fh.fileno())
-            return last
-
-    def append_lazy(self, ops: Sequence[dict]) -> int:
-        """Publish ``ops`` to the log order now; defer the durability
-        barrier to :meth:`sync`.  Without group commit this is a plain
-        (durable) append."""
-        if self._gsync is None:
-            return self.append(ops)
-        if not ops:
-            return self._seq - 1
-        self.append_calls += 1
-        self.appended_ops += len(ops)
-        with self.lock():
-            last = self._write_records(ops)
-            self._lazy.target = self._pos
+                self._lazy.target = self._pos
         return last
 
     def sync(self) -> None:
-        if self._gsync is None:
-            return
+        """One disk barrier for every lazy append this thread made:
+        outside the lock, coalesced with other threads' under group
+        commit; a no-op when nothing is waiting."""
         target = getattr(self._lazy, "target", 0)
-        if target:
-            self._lazy.target = 0
+        if not target:
+            return
+        if self._gsync is not None:
             self._gsync.wait_durable(target)
+        else:
+            os.fsync(self._write_fileno())
+        self._lazy.target = 0
 
     def flush_stats(self) -> dict:
         """Group-commit telemetry: disk barriers vs commits riding them."""

@@ -28,11 +28,16 @@ Traffic shape: every mutation appends *lazily* under the lock and
 waits for durability (:meth:`~repro.storage.base.StorageBackend.sync`)
 only after releasing it -- on a group-commit backend that lets
 concurrent compound ops overlap their disk barriers, so N workers'
-tells cost ~1 fsync instead of N.  Batched variants (``enqueue_many``,
-``claim_many``, ``tell_many``, ``heartbeat_many``) move K intents in
-one lock/refresh/append round-trip; ``heartbeat_many`` folds a whole
-lease-set renewal into a *single* ``heartbeats`` op, so a worker
-holding N leases costs one log record per renewal interval, not N.
+tells cost ~1 fsync instead of N.  Inside the internal
+:meth:`Study._deferred` scope, compound ops skip even that sync and
+the scope syncs once on exit: a service runner's step pays one disk
+barrier for all the ops it writes.  Every public method called outside
+such a scope is durable when it returns.  Batched variants
+(``enqueue_many``, ``claim_many``, ``tell_many``, ``heartbeat_many``)
+move K intents in one lock/refresh/append round-trip;
+``heartbeat_many`` folds a whole lease-set renewal into a *single*
+``heartbeats`` op, so a worker holding N leases costs one log record
+per renewal interval, not N.
 A handle given a :class:`~repro.storage.cache.StudyCache` delegates
 its folding to the cache (shared cursor, probe-gated refresh) instead
 of reading the backend itself.
@@ -41,9 +46,11 @@ of reading the backend itself.
 from __future__ import annotations
 
 import heapq
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -322,6 +329,8 @@ class Study:
         else:
             self.state = StudyState(name=name)
             self._applied_seq = -1
+        #: Per-thread depth of open :meth:`_deferred` scopes.
+        self._scope = threading.local()
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -358,6 +367,28 @@ class Study:
         return study
 
     # -- log plumbing --------------------------------------------------------
+    @contextmanager
+    def _deferred(self, barrier: bool = True) -> Iterator[None]:
+        """Internal scope: compound ops on this thread skip their
+        trailing ``storage.sync()``, and the outermost scope syncs once
+        when it exits (exceptions included) -- one disk barrier for
+        every op written inside.  ``barrier=False`` leaves the writes
+        to this thread's next barrier instead; the caller must run one
+        before acknowledging them to anyone."""
+        depth = getattr(self._scope, "depth", 0)
+        self._scope.depth = depth + 1
+        try:
+            yield
+        finally:
+            self._scope.depth = depth
+            if barrier and not depth:
+                self.storage.sync()
+
+    def _sync(self) -> None:
+        """A compound op's trailing barrier, unless a scope defers it."""
+        if not getattr(self._scope, "depth", 0):
+            self.storage.sync()
+
     def refresh(self) -> None:
         """Fold every op appended since the last refresh."""
         if self.cache is not None:
@@ -379,8 +410,8 @@ class Study:
         """Lazily append ``ops`` (stamped with the study name) in one
         backend call and apply them locally -- callers hold the lock, so
         the returned seqs are exactly the next unapplied ones.  Lazy:
-        the caller must ``storage.sync()`` after releasing the lock and
-        before acknowledging the mutation to anyone."""
+        the caller must ``_sync()`` after releasing the lock and before
+        acknowledging the mutation to anyone."""
         stamped = [{**op, "study": self.name} for op in ops]
         last = self.storage.append_lazy(stamped)
         first = last - len(stamped) + 1
@@ -434,7 +465,7 @@ class Study:
                     )
                 ]
             )
-        self.storage.sync()
+        self._sync()
         return tids
 
     def claim(
@@ -480,7 +511,7 @@ class Study:
             if ops:
                 self._append_many(ops)
             claimed = [self.state.trials[op["trial"]] for op in ops]
-        self.storage.sync()
+        self._sync()
         return claimed
 
     def heartbeat(
@@ -528,7 +559,7 @@ class Study:
                     }
                 )
             held = set(live)
-        self.storage.sync()
+        self._sync()
         return [tid in held for tid in trial_ids]
 
     def tell(
@@ -594,7 +625,7 @@ class Study:
                 won.append(True)
             if ops:
                 self._append_many(ops)
-        self.storage.sync()
+        self._sync()
         return won
 
     def fail(
@@ -618,7 +649,7 @@ class Study:
             if record.state in _TERMINAL:
                 return record.state
             outcome = self._requeue_or_deadletter(record, reason, retry, now)
-        self.storage.sync()
+        self._sync()
         return outcome
 
     def reclaim_stale(
@@ -656,7 +687,7 @@ class Study:
                     retry, now,
                 )
                 actions.append((tid, outcome))
-        self.storage.sync()
+        self._sync()
         return actions
 
     def _requeue_or_deadletter(
@@ -706,7 +737,7 @@ class Study:
                     "expires": now + ttl,
                 }
             )
-        self.storage.sync()
+        self._sync()
         return True
 
     def release_lease(self, key: str, worker: str) -> None:
@@ -718,7 +749,7 @@ class Study:
                     {"op": "lease", "key": key, "worker": worker,
                      "expires": None}
                 )
-        self.storage.sync()
+        self._sync()
 
     def lease_holder(
         self, key: str, now: Optional[float] = None
@@ -753,7 +784,7 @@ class Study:
                     "nfe": int(nfe),
                 }
             )
-        self.storage.sync()
+        self._sync()
 
     def finish(self) -> None:
         """Mark the study finished (workers drain and exit)."""
@@ -761,7 +792,7 @@ class Study:
             self.refresh()
             if not self.state.finished:
                 self._append({"op": "finish"})
-        self.storage.sync()
+        self._sync()
 
     # -- introspection -------------------------------------------------------
     def counts(self) -> dict[str, int]:

@@ -339,6 +339,88 @@ class TestSigkill:
         storage.close()
 
 
+def _tell_then_hang_worker(path, told, pending):
+    """Child: a fleet worker that stops dead after its 10th ``tell`` is
+    written, before the step barrier that would fsync it."""
+    from repro.parallel.service import FleetRunner
+
+    tell_many = Study.tell_many
+    tells = [0]
+
+    def hang_after_tell(self, results, worker):
+        won = tell_many(self, results, worker)
+        tells[0] += 1
+        if tells[0] == 10:
+            pending.value = getattr(self.storage._lazy, "target", 0)
+            told.set()
+            time.sleep(60.0)
+        return won
+
+    Study.tell_many = hang_after_tell
+    FleetRunner(
+        JournalStorage(path),
+        service=ServiceConfig(lease_ttl=1.0, master_lease_ttl=1.0,
+                              poll_interval=0.005),
+        worker_id="victim",
+    ).run(max_seconds=120.0)  # pragma: no cover - killed first
+
+
+class TestSigkillBeforeBarrier:
+    def test_kill_between_tell_and_barrier(self, tmp_path, small_config):
+        """kill -9 a fleet worker whose last ``tell`` is written but not
+        yet fsynced: the survivor finishes every study with exact NFE,
+        and its live fold equals a cold replay."""
+        from repro.parallel.service import FleetRunner
+
+        path = tmp_path / "f.journal"
+        names = ("a", "b")
+        storage = JournalStorage(path)
+        for i, name in enumerate(names):
+            Study.create(
+                storage, name,
+                meta={"problem": "dtlz2", "max_nfe": 40, "seed": i,
+                      "config": small_config},
+            )
+        told = mp.Event()
+        pending = mp.Value("q", 0)
+        victim = mp.Process(
+            target=_tell_then_hang_worker, args=(path, told, pending)
+        )
+        victim.start()
+        try:
+            assert told.wait(30.0), "victim never told 10 trials"
+            os.kill(victim.pid, signal.SIGKILL)
+        finally:
+            victim.join(10.0)
+        # The kill landed inside the window: the tell had unsynced bytes.
+        assert pending.value > 0
+
+        fleet = FleetRunner(
+            storage,
+            service=ServiceConfig(lease_ttl=1.0, master_lease_ttl=1.0,
+                                  poll_interval=0.005),
+            worker_id="survivor",
+        )
+        result = fleet.run(max_seconds=60.0)
+        assert result.finished == 2
+        cold_storage = JournalStorage(path)
+        victim_told = 0
+        for name in names:
+            live = Study(storage, name, cache=fleet.cache)
+            live.refresh()
+            cold = Study.load(cold_storage, name)
+            assert cold.state.completed == 40, name
+            assert cold.state.failed == 0
+            assert live.dump_state() == cold.dump_state(), name
+            victim_told += sum(
+                t.completed_by == "victim" for t in cold.state.trials.values()
+            )
+        # The written-but-unsynced tell counts like every other.
+        assert victim_told == 10
+        cold_storage.close()
+        storage.close()
+
+
 class TestLegacySnapshot:
     """Journals written before the completion cursor carry the sorted
     ingested trial ids in each snapshot op.  They must restore to the

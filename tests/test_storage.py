@@ -211,6 +211,55 @@ class TestForeignFile:
             storage.close()
 
 
+class TestMissingJournal:
+    """Only ``study create`` may create a journal: the verbs that read
+    one refuse a missing path and leave nothing behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "status"],
+            ["study", "export", "--name", "s", "--csv", "out.csv"],
+            ["study", "worker", "--name", "s", "--max-seconds", "1"],
+            ["study", "worker", "--all", "--max-seconds", "1"],
+            ["serve", "--report", "r.html"],
+            ["serve", "--port", "0"],
+        ],
+        ids=["status", "export", "worker", "worker-all", "report", "live"],
+    )
+    def test_read_verbs_refuse_and_create_nothing(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        import repro.telemetry.server
+        from repro.cli import main
+
+        def serve(*args, **kwargs):
+            raise AssertionError("the dashboard started")
+
+        monkeypatch.setattr(repro.telemetry.server, "serve", serve)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "missing.journal"
+        assert main([*argv, "--storage", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "no such journal" in captured.err
+        assert "no studies" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_storage_is_not_missing(self, capsys):
+        from repro.cli import main
+
+        assert main(["study", "status", "--storage", "memory://"]) == 0
+        assert "no studies" in capsys.readouterr().out
+
+    def test_create_still_creates(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "new.journal"
+        assert main(["study", "create", "--storage", str(path), "--name",
+                     "s", "--problem", "dtlz2", "--nfe", "10"]) == 0
+        assert main(["study", "status", "--storage", str(path)]) == 0
+
+
 def _frame(payload: bytes) -> bytes:
     """Frame raw payload bytes as a record with a valid checksum."""
     header = struct.pack("<2sII", RECORD_MAGIC, len(payload), zlib.crc32(payload))
@@ -794,6 +843,31 @@ class TestNewsProbe:
         storage.news()
         storage.news()
         assert storage.probe_calls == before + 2
+
+
+class TestQuietRead:
+    """A read with nothing new answers from the scan cursor without
+    opening the journal."""
+
+    def test_nothing_new_skips_the_file(self, tmp_path, monkeypatch):
+        ours = JournalStorage(tmp_path / "q.journal")
+        ours.append([{"op": "a"}])
+        assert [op["op"] for _, op in ours.read(0)] == ["a"]
+        opened = []
+        read_from = ours._read_from
+        monkeypatch.setattr(
+            ours, "_read_from",
+            lambda offset: opened.append(offset) or read_from(offset),
+        )
+        assert ours.read(1) == []
+        assert len(ours) == 1
+        assert opened == []
+        theirs = JournalStorage(tmp_path / "q.journal")
+        theirs.append([{"op": "b"}])
+        assert [(seq, op["op"]) for seq, op in ours.read(1)] == [(1, "b")]
+        assert opened  # the new record came from the file
+        theirs.close()
+        ours.close()
 
 
 class TestGroupCommit:
